@@ -5,11 +5,11 @@ Subcommands::
     repro list                       enumerate workloads and prefetchers
     repro run WORKLOAD               simulate one prefetcher vs. FDIP
     repro compare WORKLOAD           run the paper's comparison set
-    repro sweep [WORKLOAD...]        parallel cached grid (--jobs N)
-    repro sweep --manifest F.toml    declarative grid via the sharded
-                                     sweep service (--shards N),
-                                     journaled; --resume [RUN_ID]
-                                     continues an interrupted run
+    repro sweep [WORKLOAD...]        cached, journaled grid (--jobs N
+                                     worker processes); --resume
+                                     [RUN_ID] continues an interrupted
+                                     run
+    repro sweep --manifest F.toml    the same for a declarative grid
     repro manifest validate F...     check sweep manifests
     repro manifest expand F          show a manifest's expanded points
     repro manifest events F|DIR      summarize a progress event stream
@@ -160,10 +160,17 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     import time
+    from pathlib import Path
 
     from repro.experiments import runner
-    from repro.experiments.errors import PointFailure, SweepInterrupted
-    from repro.experiments.sweep import grid, sweep
+    from repro.experiments.errors import (
+        JournalError,
+        PointFailure,
+        SweepInterrupted,
+    )
+    from repro.experiments.journal import run_sweep
+    from repro.experiments.service import JsonlEventLog
+    from repro.experiments.sweep import grid
 
     if args.clear_cache:
         from repro.experiments import diskcache
@@ -172,6 +179,11 @@ def cmd_sweep(args) -> int:
         print(f"cleared simulation cache at {diskcache.get_cache().root}")
         if not (args.workloads or args.manifest):
             return 0
+    if args.point_timeout is not None and args.jobs < 2:
+        print("--point-timeout needs --jobs >= 2: with --jobs 1 points "
+              "run in-process, where a running point cannot be killed",
+              file=sys.stderr)
+        return 2
     if args.manifest:
         if args.workloads or args.policy:
             print("--manifest already defines the grid; drop the "
@@ -190,10 +202,6 @@ def cmd_sweep(args) -> int:
         print(f"manifest {title}: {len(points)} point(s)"
               + (f" (sampled from {manifest.full_count})"
                  if manifest.sample else ""))
-    elif args.events and args.shards is None:
-        print("--events requires --manifest or --shards (the sharded "
-              "service emits the stream)", file=sys.stderr)
-        return 2
     else:
         workloads = args.workloads or list(WORKLOAD_NAMES)
         unknown = [w for w in workloads if w not in ALL_WORKLOAD_NAMES]
@@ -214,103 +222,61 @@ def cmd_sweep(args) -> int:
         else:
             points = grid(workloads, args.prefetchers, scale=args.scale,
                           seed=args.seed, warmup=args.warmup)
-    use_service = args.manifest is not None or args.shards is not None
-    if args.resume is not None and not use_service:
-        print("--resume requires --manifest or --shards (only "
-              "journaled service sweeps can be resumed)",
-              file=sys.stderr)
-        return 2
     if args.resume is not None and args.no_cache:
         print("--resume needs the disk cache: the journal records "
               "which points completed, the cache holds their results",
               file=sys.stderr)
         return 2
 
-    def _resume_hint(run_id: Optional[str]) -> str:
-        base = "repro sweep"
-        if args.manifest:
-            base += f" --manifest {args.manifest}"
-        elif args.shards is not None:
-            base += f" --shards {args.shards}"
-        return f"{base} --resume" + (f" {run_id}" if run_id else "")
-
     before = runner.run_cache_stats()
     start = time.perf_counter()
-    journal = None
+    log = JsonlEventLog(args.events) if args.events else None
     try:
-        if use_service:
-            from pathlib import Path
-
-            from repro.experiments.journal import JournalError, run_sweep
-            from repro.experiments.service import (
-                JsonlEventLog,
-                ServiceConfig,
-            )
-
-            config = ServiceConfig(
-                shards=args.shards or 2, jobs=args.jobs,
-                use_cache=not args.no_cache,
-                max_retries=args.max_retries,
-                point_timeout=args.point_timeout,
-                keep_going=args.keep_going,
-            )
-            log = JsonlEventLog(args.events) if args.events else None
-            try:
-                report, journal = run_sweep(
-                    points, config, events=log, progress=print,
-                    resume=args.resume is not None,
-                    run_id=args.resume or None,
-                    run_root=(Path(args.run_dir)
-                              if args.run_dir else None),
-                    handle_signals=True,
-                    extra_meta=({"manifest": args.manifest}
-                                if args.manifest else None),
-                )
-            except JournalError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-            finally:
-                if log is not None:
-                    log.close()
-            if args.events:
-                print(f"progress events -> {args.events}")
-            print(f"run journal {journal.run_id} "
-                  f"(segment {journal.segment}) -> {journal.run_dir}")
-            if args.resume is not None:
-                print(f"resumed: {journal.replay_preresolved} "
-                      f"completed point(s) replayed from the journal, "
-                      f"{journal.replay_poisoned} poisoned point(s) "
-                      "quarantined")
-        else:
-            report = sweep(
-                points, jobs=args.jobs, use_cache=not args.no_cache,
-                progress=print, max_retries=args.max_retries,
-                point_timeout=args.point_timeout,
-                keep_going=args.keep_going,
-            )
+        report, journal = run_sweep(
+            points, events=log, progress=print,
+            resume=args.resume is not None,
+            run_id=args.resume or None,
+            run_root=Path(args.run_dir) if args.run_dir else None,
+            handle_signals=True,
+            extra_meta=({"manifest": args.manifest}
+                        if args.manifest else None),
+            jobs=args.jobs, use_cache=not args.no_cache,
+            max_retries=args.max_retries,
+            point_timeout=args.point_timeout,
+            keep_going=args.keep_going,
+        )
+    except JournalError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SweepInterrupted as exc:
         done = len(exc.report.results) if exc.report else 0
         print(f"\nsweep interrupted: {done}/{len(points)} point(s) "
               "resolved; in-flight workers reaped, completed points "
               "journaled", file=sys.stderr)
-        print(f"resume with: {_resume_hint(exc.run_id)}",
+        resume = f"--resume {exc.run_id}" if exc.run_id else "--resume"
+        print("resume with: "
+              + (f"repro sweep --manifest {args.manifest} {resume}"
+                 if args.manifest
+                 else f"the same repro sweep command plus {resume}"),
               file=sys.stderr)
         return exc.exit_code
-    except KeyboardInterrupt:
-        # The serial/parallel engine has no journal: nothing to
-        # resume, but exit like an interrupted shell command instead
-        # of spraying a traceback.
-        print("\nsweep interrupted (no journal in --jobs mode; "
-              "re-run to continue from the disk cache)",
-              file=sys.stderr)
-        return 130
     except PointFailure as failure:
         print(f"sweep aborted: {failure} "
               "(use --keep-going to collect partial results)",
               file=sys.stderr)
-        if journal is not None:
-            print(f"run journal: {journal.run_dir}", file=sys.stderr)
         return 1
+    finally:
+        if log is not None:
+            log.close()
+    if args.events:
+        print(f"progress events -> {args.events}")
+    print(f"run journal {journal.run_id} "
+          f"(segment {journal.segment}) -> {journal.run_dir}")
+    if args.resume is not None:
+        print(f"resumed: {journal.replay_preresolved} "
+              f"completed point(s) replayed from the journal, "
+              f"{journal.replay_poisoned} poisoned point(s) "
+              "quarantined")
     elapsed = time.perf_counter() - start
     results = report.results
 
@@ -385,10 +351,8 @@ def cmd_sweep(args) -> int:
     memory = s.memory_hits - before.memory_hits
     corrupt = s.cache_corrupt - before.cache_corrupt
     refused = s.write_refusals - before.write_refusals
-    lane = (f"--shards {args.shards or 2} --jobs {args.jobs}"
-            if use_service else f"--jobs {args.jobs}")
     summary = (f"\n{len(results)}/{len(points)} points in {elapsed:.1f}s "
-               f"with {lane}: {simulated} simulated, "
+               f"with --jobs {args.jobs}: {simulated} simulated, "
                f"{disk} disk hits, {memory} memory hits")
     if corrupt:
         summary += f", {corrupt} corrupt cache entries quarantined"
@@ -650,7 +614,7 @@ def cmd_manifest(args) -> int:
                  if manifest.sample else ""))
         return 0
 
-    # action == "events": summarize (or tail) a service JSONL progress
+    # action == "events": summarize (or tail) a sweep's JSONL progress
     # stream — one file, or a run-journal directory whose segments are
     # joined and seq-deduplicated.
     from pathlib import Path
@@ -782,7 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=["efetch", "mana", "eip", "hierarchical"],
                     choices=[n for n in PREFETCHER_NAMES if n != "fdip"])
     sw.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (default: 1 = serial)")
+                    help="worker processes, one per point attempt "
+                         "(default: 1 = run points in-process)")
     sw.add_argument("--no-cache", action="store_true",
                     help="ignore and do not update the result caches")
     sw.add_argument("--clear-cache", action="store_true",
@@ -794,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--point-timeout", type=float, default=None,
                     metavar="SECONDS",
                     help="kill and retry any point running longer than "
-                         "this (enforced with --jobs >= 2)")
+                         "this (needs --jobs >= 2)")
     sw.add_argument("--keep-going", action="store_true",
                     help="on unrecoverable point failures, keep "
                          "sweeping and report partial results "
@@ -809,23 +774,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "--policy point")
     sw.add_argument("--manifest", default=None, metavar="FILE",
                     help="run a declarative sweep manifest (.toml/.json, "
-                         "docs/SWEEP_SERVICE.md) through the sharded "
-                         "service instead of building the grid from "
-                         "flags")
-    sw.add_argument("--shards", type=int, default=None, metavar="N",
-                    help="run through the sharded sweep service with N "
-                         "local shards x --jobs workers each "
-                         "(default with --manifest: 2)")
+                         "docs/SWEEP_SERVICE.md) instead of building the "
+                         "grid from flags")
     sw.add_argument("--events", default=None, metavar="FILE",
                     help="stream JSONL progress events (scheduled/"
-                         "completed/retried/failed) to FILE; service "
-                         "mode only")
+                         "completed/retried/failed) to FILE")
     sw.add_argument("--resume", nargs="?", const="", default=None,
                     metavar="RUN_ID",
-                    help="service mode: resume an interrupted journaled "
-                         "run — completed points replay from journal + "
-                         "cache, poison points are quarantined "
-                         "(default: the grid's most recent run)")
+                    help="resume an interrupted run of the same grid — "
+                         "completed points replay from journal + cache, "
+                         "poison points are quarantined (default: the "
+                         "grid's most recent run)")
     sw.add_argument("--run-dir", default=None, metavar="DIR",
                     help="run-journal root (default: <cache root>/runs "
                          "or REPRO_RUN_DIR)")

@@ -7,7 +7,7 @@ print the corresponding rows/series.  Results are cached per
 content-addressed on-disk store (see docs/SWEEP_CACHE.md), so figures
 sharing runs pay for each simulation once — across processes, not just
 within one.  ``repro.experiments.sweep`` fans independent points out
-over a process pool.
+over worker processes.
 """
 
 from repro.experiments.runner import (
@@ -26,8 +26,8 @@ from repro.experiments.errors import (
     DiskFullError,
     ExperimentError,
     PointFailure,
+    JournalError,
     PointTimeoutError,
-    ShardDiedError,
     SweepInterrupted,
     TransientError,
     WorkerCrashError,
@@ -56,7 +56,6 @@ from repro.experiments.slo import (
     tab05_slo_summary,
 )
 from repro.experiments.journal import (
-    JournalError,
     RunJournal,
     grid_fingerprint,
     list_runs,
@@ -65,11 +64,9 @@ from repro.experiments.journal import (
 )
 from repro.experiments.service import (
     JsonlEventLog,
-    ServiceConfig,
     ShutdownRequest,
     follow_events,
     read_events,
-    serve_sweep,
     summarize_events,
 )
 from repro.experiments.sweep import (
@@ -97,7 +94,6 @@ __all__ = [
     "PointTimeoutError",
     "CorruptArtifactError",
     "DiskFullError",
-    "ShardDiedError",
     "SweepInterrupted",
     "PointFailure",
     "Fault",
@@ -113,10 +109,8 @@ __all__ = [
     "SweepManifest",
     "load_manifest",
     "parse_manifest",
-    "ServiceConfig",
     "JsonlEventLog",
     "ShutdownRequest",
-    "serve_sweep",
     "read_events",
     "follow_events",
     "summarize_events",

@@ -24,10 +24,10 @@ be handled.  The hierarchy encodes the policy:
     The cache *refused* a write because the volume is nearly full —
     better no entry than a torn one fighting ENOSPC.  Reported through
     the same listener channel, never raised to the caller.
-``ShardDiedError``
-    A whole shard pool (not one point) died or stalled; the service's
-    watchdog requeues its in-flight units and restarts or retires the
-    pool — see :mod:`repro.experiments.service`.
+``JournalError``
+    A run journal could not be created, found, replayed, or appended
+    to.  A failed append stops the sweep: the journal is the durable
+    record ``--resume`` trusts — see :mod:`repro.experiments.journal`.
 ``SweepInterrupted``
     A graceful shutdown (SIGINT/SIGTERM or an explicit stop request)
     drained the scheduler mid-run.  Carries the partial
@@ -64,7 +64,7 @@ __all__ = [
     "PointTimeoutError",
     "CorruptArtifactError",
     "DiskFullError",
-    "ShardDiedError",
+    "JournalError",
     "SweepInterrupted",
     "PointFailure",
     "InvalidConfigError",
@@ -139,25 +139,19 @@ class DiskFullError(CorruptArtifactError):
         self.needed_bytes = needed_bytes
 
 
-class ShardDiedError(ExperimentError):
-    """A shard pool (a whole supervision loop, not one point) died or
-    stalled past the watchdog timeout.  The service requeues the
-    shard's in-flight units and restarts or retires the pool; only when
-    no pool can be kept alive does this escape to the caller."""
-
-    def __init__(self, message: str, shard: Optional[int] = None):
-        super().__init__(message)
-        self.shard = shard
+class JournalError(ExperimentError):
+    """A run journal could not be created, found, replayed, or durably
+    appended to."""
 
 
 class SweepInterrupted(ExperimentError):
     """A sweep was shut down gracefully before completing.
 
-    Raised by :func:`repro.experiments.service.serve_sweep` after a
+    Raised by :func:`repro.experiments.sweep.sweep` after a
     SIGINT/SIGTERM (or an explicit shutdown request) drained the
-    scheduler: in-flight workers are reaped, completed points are kept
-    on ``report``, and — when a run journal is active — ``run_id``
-    names the run to pass to ``repro sweep --resume``.
+    supervision loop: in-flight workers are reaped, completed points
+    are kept on ``report``, and — when a run journal is active —
+    ``run_id`` names the run to pass to ``repro sweep --resume``.
     """
 
     def __init__(self, message: str, report=None,
@@ -179,14 +173,14 @@ class SweepInterrupted(ExperimentError):
 
 
 class InvalidConfigError(ExperimentError, ValueError):
-    """A configuration object (``ServiceConfig``, benchmark/SLO specs)
-    failed validation.  Subclasses ``ValueError`` so callers that
+    """A configuration object (benchmark/SLO specs) failed
+    validation.  Subclasses ``ValueError`` so callers that
     predate the taxonomy — and tests written against them — still
     catch it."""
 
 
 class EventStreamError(ExperimentError, ValueError):
-    """A journal/service event stream failed strict decoding
+    """A journal or ``--events`` stream failed strict decoding
     (``read_events(strict=True)`` hit an undecodable line)."""
 
 

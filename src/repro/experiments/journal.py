@@ -1,13 +1,12 @@
 """Crash-consistent run journal: durable identity + resume for sweeps.
 
-PR 4 made individual *points* fault-tolerant and the service made
-scheduling sharded, but a SIGKILL, OOM, or Ctrl-C anywhere in the
-parent used to lose the whole run.  This module gives a sweep a
-durable identity on disk — a **run directory** of fsync'd,
-seq-numbered JSONL event segments plus a ``meta.json`` — and a resume
-path that replays journal + disk cache to skip completed points,
-quarantine poison points, and re-enter in-flight points, bit-identical
-to an uninterrupted run.
+The sweep engine makes individual *points* fault-tolerant, but a
+SIGKILL, OOM, or Ctrl-C anywhere in the parent would lose the whole
+run.  This module gives a sweep a durable identity on disk — a **run
+directory** of fsync'd, seq-numbered JSONL event segments plus a
+``meta.json`` — and a resume path that replays journal + disk cache to
+skip completed points, quarantine poison points, and re-enter
+in-flight points, bit-identical to an uninterrupted run.
 
 Layout::
 
@@ -20,15 +19,17 @@ The run root defaults to ``<cache root>/runs`` (so ``REPRO_CACHE_DIR``
 redirects journal and cache together — resume *requires* the cache,
 which holds the actual results) and can be pointed elsewhere with
 ``REPRO_RUN_DIR``.  The directory name's fingerprint is a SHA-256 over
-the grid's point *keys* only — service shape (shards, jobs) may change
-between segments, the grid may not.
+the grid's point *keys* only — the sweep policy (jobs, retries,
+timeouts) may change between segments, the grid may not.
 
 Crash-consistency contract (docs/RESILIENCE.md): a worker's cache
 entry is fsync'd *before* the parent appends the fsync'd ``completed``
 record, so a journal-completed point is always cache-recoverable; a
 kill between the two just re-enters the point, which resolves warm in
-the parent.  Each segment's torn final line (a writer killed
-mid-append) is dropped on replay, and records whose ``seq`` does not
+the parent.  A journal append that fails (ENOSPC, EIO) fails the run
+with :class:`JournalError`: a sweep that cannot journal cannot be
+resumed, so it must not carry on as if it could.  Each segment's torn
+final line (a writer killed mid-append) is dropped on replay, and records whose ``seq`` does not
 advance within a segment (a replayed append) are skipped — so replay
 is total for any prefix the journal survived.
 
@@ -40,7 +41,8 @@ Resume semantics (exactly-once across joined segments):
   (an informational ``poisoned`` event) instead of re-burning their
   retry budget;
 * everything else (unscheduled, in-flight, mid-retry) re-enters the
-  scheduler and gets exactly one terminal event in the new segment.
+  supervision loop and gets exactly one terminal event in the new
+  segment.
 
 The one exception: a journal-completed point whose cache entry was
 since lost or quarantined re-enters and earns a second terminal event
@@ -59,14 +61,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import diskcache, runner
-from repro.experiments.errors import ExperimentError, PointFailure
+from repro.experiments.errors import JournalError, PointFailure
 from repro.experiments.faults import FaultPlan, corrupt_file
 from repro.experiments.service import (
     JsonlEventLog,
-    ServiceConfig,
     ShutdownRequest,
     read_events,
-    serve_sweep,
 )
 from repro.experiments.sweep import (
     ProgressFn,
@@ -74,6 +74,7 @@ from repro.experiments.sweep import (
     SweepReport,
     SweepResult,
     _default_progress,
+    sweep,
 )
 
 __all__ = [
@@ -93,10 +94,6 @@ _SEGMENT_GLOB = "events-*.jsonl"
 _FP_CHARS = 12
 
 
-class JournalError(ExperimentError):
-    """A run journal could not be created, found, or replayed."""
-
-
 def runs_root() -> Path:
     """The directory run journals live under: ``REPRO_RUN_DIR`` when
     set, else ``<cache root>/runs`` (which 2-hex shard globbing and
@@ -110,8 +107,8 @@ def runs_root() -> Path:
 def grid_fingerprint(points: Sequence[SweepPoint]) -> str:
     """SHA-256 over the ordered point keys — the run's grid identity.
 
-    Deliberately excludes service shape (shards, jobs, timeouts): a
-    resume may reschedule the same grid differently; the results are
+    Deliberately excludes the sweep policy (jobs, retries, timeouts):
+    a resume may reschedule the same grid differently; the results are
     keyed by the points alone.
     """
     blob = json.dumps([point.key() for point in points])
@@ -189,8 +186,8 @@ class RunJournal:
 
     Build with :meth:`create` (fresh run) or :meth:`resume` (attach to
     an interrupted one); pass :attr:`sink` to
-    :func:`~repro.experiments.service.serve_sweep` as an event sink
-    and ``close()`` when the segment is finished.
+    :func:`~repro.experiments.sweep.sweep` as an event sink and
+    ``close()`` when the segment is finished.
     """
 
     def __init__(self, run_dir: Path, meta: dict, segment: int):
@@ -208,13 +205,14 @@ class RunJournal:
     # -- construction --------------------------------------------------
     @classmethod
     def create(cls, points: Sequence[SweepPoint],
-               config: ServiceConfig,
+               config: dict,
                root: Optional[Path] = None,
                extra_meta: Optional[dict] = None) -> "RunJournal":
         """Allocate the next free run directory for this grid.
 
         Creation is atomic (``mkdir`` with ``exist_ok=False``), so two
-        racing sweeps of the same grid get distinct run ids.
+        racing sweeps of the same grid get distinct run ids.  ``config``
+        (the sweep policy) is recorded in ``meta.json`` for reference.
         """
         root = Path(root) if root is not None else runs_root()
         root.mkdir(parents=True, exist_ok=True)
@@ -236,7 +234,7 @@ class RunJournal:
             "fingerprint": fingerprint,
             "total": len(points),
             "created": time.time(),
-            "config": dataclasses.asdict(config),
+            "config": dict(config),
         }
         meta.update(extra_meta or {})
         _write_meta(run_dir, meta)
@@ -319,7 +317,9 @@ class RunJournal:
     # -- the event sink ------------------------------------------------
     @property
     def sink(self) -> JsonlEventLog:
-        """The durable (fsync-per-line) sink for this segment."""
+        """The durable (fsync-per-line) sink for this segment: an
+        append failure stops the sweep (see
+        :class:`~repro.experiments.service._Emitter`)."""
         if self._sink is None:
             self._sink = JsonlEventLog(self.segment_path(), fsync=True)
         return self._sink
@@ -358,7 +358,6 @@ def _failure_from_event(points: Sequence[SweepPoint],
 
 def run_sweep(
     points: Sequence[SweepPoint],
-    config: Optional[ServiceConfig] = None,
     events: Union[None, object, Sequence[object]] = None,
     progress: Optional[ProgressFn] = _default_progress,
     fault_plan: Optional[FaultPlan] = None,
@@ -368,32 +367,36 @@ def run_sweep(
     handle_signals: bool = False,
     shutdown: Optional[ShutdownRequest] = None,
     extra_meta: Optional[dict] = None,
+    **policy,
 ) -> Tuple[SweepReport, RunJournal]:
-    """A journaled (and therefore resumable) :func:`serve_sweep`.
+    """A journaled (and therefore resumable) :func:`sweep`.
 
-    Fresh runs allocate a run directory and journal every event with
-    per-line fsync.  With ``resume=True`` the latest (or ``run_id``'s)
-    journal for this grid is replayed first: completed points are
-    pre-resolved from the disk cache, failed points are poisoned, and
-    only the remainder is scheduled.  Returns the report together with
-    the :class:`RunJournal` (whose ``run_id`` is the resume handle).
+    ``policy`` holds the sweep's own keyword arguments (``jobs``,
+    ``use_cache``, ``max_retries``, ``point_timeout``, ``keep_going``,
+    ``backoff_base``); it is passed through and recorded in
+    ``meta.json``.  Fresh runs allocate a run directory and journal
+    every event with per-line fsync.  With ``resume=True`` the latest
+    (or ``run_id``'s) journal for this grid is replayed first:
+    completed points are pre-resolved from the disk cache, failed
+    points are poisoned, and only the remainder is scheduled.  Returns
+    the report together with the :class:`RunJournal` (whose ``run_id``
+    is the resume handle).
 
     Raises :class:`~repro.experiments.errors.SweepInterrupted` — with
     ``run_id`` filled in — when a signal or shutdown request drains
-    the run; :class:`JournalError` on identity mismatches, including
-    resuming with the cache disabled (the journal records *that* a
-    point completed; only the cache holds the result).
+    the run; :class:`JournalError` on identity mismatches, when a
+    journal append fails, and when resuming with the cache disabled
+    (the journal records *that* a point completed; only the cache
+    holds the result).
     """
     points = list(points)
-    if config is None:
-        config = ServiceConfig()
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
 
     preresolved: Dict[int, SweepResult] = {}
     poisoned: Dict[int, PointFailure] = {}
     if resume:
-        if not config.use_cache:
+        if not policy.get("use_cache", True):
             raise JournalError(
                 "cannot resume with the disk cache disabled: the "
                 "journal records which points completed, the cache "
@@ -416,7 +419,7 @@ def run_sweep(
         journal.replay_preresolved = len(preresolved)
         journal.replay_poisoned = len(poisoned)
     else:
-        journal = RunJournal.create(points, config, root=run_root,
+        journal = RunJournal.create(points, policy, root=run_root,
                                     extra_meta=extra_meta)
 
     sinks: List[object] = [journal.sink]
@@ -428,11 +431,11 @@ def run_sweep(
 
     run_info = {"run_id": journal.run_id, "segment": journal.segment}
     try:
-        report = serve_sweep(
-            points, config, events=sinks, progress=progress,
+        report = sweep(
+            points, events=sinks, progress=progress,
             fault_plan=fault_plan, preresolved=preresolved,
             poisoned=poisoned, shutdown=shutdown,
-            handle_signals=handle_signals, run_info=run_info)
+            handle_signals=handle_signals, run_info=run_info, **policy)
     finally:
         journal.close(plan=fault_plan)
     return report, journal

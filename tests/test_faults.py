@@ -26,7 +26,6 @@ from repro.experiments.faults import (
     ERROR,
     HANG,
     PARENT_SIGNAL,
-    SHARD_KILL,
     TORN_JOURNAL,
     TRUNCATE,
     Fault,
@@ -169,7 +168,7 @@ class TestBackoff:
 
 
 # ----------------------------------------------------------------------
-# Serial sweeps: injected failures, retry policy, report shape
+# In-process sweeps: injected failures, retry policy, report shape
 # ----------------------------------------------------------------------
 class TestSerialFaults:
     def test_flaky_crash_then_succeeds_bit_identical(self, cache_dir):
@@ -231,7 +230,7 @@ class TestSerialFaults:
 
 
 # ----------------------------------------------------------------------
-# Parallel sweeps: real crashes, real hangs, worker supervision
+# Worker-process sweeps: real crashes, real hangs, supervision
 # ----------------------------------------------------------------------
 class TestParallelFaults:
     def test_real_worker_crash_retries_and_recovers(self, cache_dir):
@@ -405,6 +404,15 @@ class TestSweepCLI:
         assert rc == 1
         assert "sweep aborted" in capsys.readouterr().err
 
+    def test_point_timeout_needs_worker_processes(self, capsys):
+        # In-process points cannot be killed, so a timeout with --jobs 1
+        # would go silently unenforced: refuse it as a usage error.
+        rc = main(["sweep", WORKLOAD, "--prefetchers", "eip",
+                   "--scale", "tiny", "--point-timeout", "5"])
+        assert rc == 2
+        assert "--point-timeout needs --jobs >= 2" in \
+            capsys.readouterr().err
+
     def test_clean_sweep_exits_zero(self, cache_dir, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
         rc = main(["sweep", WORKLOAD, "--prefetchers", "eip",
@@ -414,40 +422,24 @@ class TestSweepCLI:
 
 
 # ----------------------------------------------------------------------
-# Scheduler- and journal-layer fault kinds (run-level self-healing)
+# Supervisor- and journal-layer fault kinds (run-level self-healing)
 # ----------------------------------------------------------------------
 class TestSchedulerFaults:
     def test_spec_round_trip_carries_layer_fields(self):
         plan = FaultPlan([
-            Fault(SHARD_KILL, 1, times=2, after=3),
             Fault(PARENT_SIGNAL, 5, signum=2),
             Fault(TORN_JOURNAL, 1),
         ])
         clone = FaultPlan.from_json(plan.to_json())
         assert clone.faults == plan.faults
         specs = {f.kind: f.to_spec() for f in clone.faults}
-        assert specs[SHARD_KILL]["after"] == 3
         assert specs[PARENT_SIGNAL]["signum"] == 2
         assert "seconds" not in specs[TORN_JOURNAL]
 
     def test_layer_kinds_require_integer_targets(self):
-        for kind in (SHARD_KILL, PARENT_SIGNAL, TORN_JOURNAL):
+        for kind in (PARENT_SIGNAL, TORN_JOURNAL):
             with pytest.raises(ValueError, match="integer"):
                 Fault(kind, EIP_LABEL)
-
-    def test_after_must_be_positive(self):
-        with pytest.raises(ValueError, match="after"):
-            Fault(SHARD_KILL, 0, after=0)
-
-    def test_shard_fault_matches_claim_and_incarnation(self):
-        plan = FaultPlan([Fault(SHARD_KILL, 0, times=2, after=2)])
-        assert plan.shard_fault(0, claimed=2, incarnation=1)
-        assert plan.shard_fault(0, claimed=2, incarnation=2)
-        assert plan.shard_fault(0, claimed=2, incarnation=3) is None
-        assert plan.shard_fault(0, claimed=1, incarnation=1) is None
-        assert plan.shard_fault(1, claimed=2, incarnation=1) is None
-        persistent = FaultPlan([Fault(SHARD_KILL, 0)])
-        assert persistent.shard_fault(0, claimed=1, incarnation=99)
 
     def test_parent_signal_fault_matches_resolved_count(self):
         plan = FaultPlan([Fault(PARENT_SIGNAL, 3, signum=15)])
@@ -458,13 +450,12 @@ class TestSchedulerFaults:
     def test_journal_faults_match_segment(self):
         plan = FaultPlan([Fault(TORN_JOURNAL, 1),
                           Fault(TORN_JOURNAL, 2),
-                          Fault(SHARD_KILL, 1)])
+                          Fault(PARENT_SIGNAL, 1)])
         assert len(plan.journal_faults(1)) == 1
         assert len(plan.journal_faults(2)) == 1
         assert plan.journal_faults(3) == ()
 
     def test_layer_faults_never_match_exec_or_cache(self):
-        plan = FaultPlan([Fault(SHARD_KILL, 0), Fault(PARENT_SIGNAL, 0),
-                          Fault(TORN_JOURNAL, 0)])
+        plan = FaultPlan([Fault(PARENT_SIGNAL, 0), Fault(TORN_JOURNAL, 0)])
         assert plan.exec_fault(0, EIP_LABEL, attempt=1) is None
         assert plan.cache_faults(0, EIP_LABEL, attempt=1) == ()

@@ -13,17 +13,18 @@ Contracts under test:
   across the joined journal segments (the ISSUE acceptance case);
 * poison points (retries exhausted) are quarantined on resume instead
   of re-burning their retry budget;
-* shard pools that die are restarted with their in-flight units
-  requeued, and repeated deaths degrade to fewer shards instead of
-  failing the run;
 * SIGINT/SIGTERM drain gracefully: partial report, ``end{status=
-  interrupted}``, conventional 128+signum exit code;
+  interrupted}``, conventional 128+signum exit code — for manifest and
+  flag-built grids alike;
+* a failed journal append fails the run and reaps its workers;
 * the disk-space guard refuses writes instead of risking torn entries.
 """
 
+import errno
 import hashlib
 import importlib
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -43,13 +44,11 @@ from repro.experiments import diskcache, runner
 from repro.experiments.errors import (
     DiskFullError,
     PointFailure,
-    ShardDiedError,
     SweepInterrupted,
 )
 from repro.experiments.faults import (
     ERROR,
     PARENT_SIGNAL,
-    SHARD_KILL,
     TORN_JOURNAL,
     Fault,
     FaultPlan,
@@ -65,12 +64,10 @@ from repro.experiments.journal import (
 )
 from repro.experiments.service import (
     JsonlEventLog,
-    ServiceConfig,
     ShutdownRequest,
     follow_events,
     format_events_summary,
     read_events,
-    serve_sweep,
     summarize_events,
 )
 from repro.experiments.sweep import SweepPoint, sweep
@@ -101,8 +98,9 @@ def _points(n=6):
 
 def _fake_run_serial(point, use_cache):
     """Deterministic synthetic executor (same scheme as
-    tests/test_service.py): scheduler, retries, cache, and journal are
-    all real; only the simulation is synthesized per point key."""
+    tests/test_service.py): supervision loop, retries, cache, and
+    journal are all real; only the simulation is synthesized per point
+    key."""
     digest = hashlib.sha256(point.key().encode("utf-8")).hexdigest()
     stats = SimStats()
     stats.instructions = int(digest[:12], 16)
@@ -125,11 +123,10 @@ def _ref_states(points):
 
 
 def _config(**kw):
-    kw.setdefault("shards", 2)
+    """Sweep policy keywords: in-process by default, no backoff."""
     kw.setdefault("jobs", 1)
-    kw.setdefault("inline", True)
     kw.setdefault("backoff_base", 0.0)
-    return ServiceConfig(**kw)
+    return kw
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +233,7 @@ class TestRunDirLifecycle:
         meta = json.loads((a.run_dir / "meta.json").read_text())
         assert meta["fingerprint"] == grid_fingerprint(pts)
         assert meta["total"] == len(pts)
-        assert meta["config"]["shards"] == 2
+        assert meta["config"]["jobs"] == 1
 
     def test_resume_picks_latest_and_opens_next_segment(self, cache_dir):
         pts = _points()
@@ -262,9 +259,9 @@ class TestRunDirLifecycle:
 
     def test_resume_requires_the_cache(self, cache_dir, fake_executor):
         pts = _points(2)
-        run_sweep(pts, _config(), progress=None, fault_plan=FaultPlan())
+        run_sweep(pts, **_config(), progress=None, fault_plan=FaultPlan())
         with pytest.raises(JournalError, match="disk cache disabled"):
-            run_sweep(pts, _config(use_cache=False), progress=None,
+            run_sweep(pts, **_config(use_cache=False), progress=None,
                       resume=True, fault_plan=FaultPlan())
 
 
@@ -277,7 +274,7 @@ class TestInterruptAndResume:
         pts = _points(8)
         plan = FaultPlan([Fault(PARENT_SIGNAL, 3, signum=signal.SIGTERM)])
         with pytest.raises(SweepInterrupted) as exc:
-            run_sweep(pts, _config(), progress=None, fault_plan=plan,
+            run_sweep(pts, **_config(), progress=None, fault_plan=plan,
                       handle_signals=True)
         assert exc.value.signum == signal.SIGTERM
         assert exc.value.exit_code == 128 + signal.SIGTERM
@@ -290,7 +287,7 @@ class TestInterruptAndResume:
         assert interrupted["status"] == "interrupted"
         assert interrupted["missing"]  # genuinely unfinished
 
-        report, journal = run_sweep(pts, _config(), progress=None,
+        report, journal = run_sweep(pts, **_config(), progress=None,
                                     resume=True, run_id=run_id,
                                     fault_plan=FaultPlan())
         assert journal.run_id == run_id and journal.segment == 2
@@ -317,8 +314,8 @@ class TestInterruptAndResume:
                 stop.request()
 
         with pytest.raises(SweepInterrupted) as exc:
-            serve_sweep(pts, _config(), events=sink, progress=None,
-                        fault_plan=FaultPlan(), shutdown=stop)
+            sweep(pts, **_config(), events=sink, progress=None,
+                  fault_plan=FaultPlan(), shutdown=stop)
         assert exc.value.signum is None and exc.value.exit_code == 130
         assert seen[-1]["event"] == "end"
         assert seen[-1]["status"] == "interrupted"
@@ -328,13 +325,13 @@ class TestInterruptAndResume:
         pts = _points(4)
         poison = FaultPlan([Fault(ERROR, 1)])  # persistent: exhausts
         report, journal = run_sweep(
-            pts, _config(keep_going=True, max_retries=1),
+            pts, **_config(keep_going=True, max_retries=1),
             progress=None, fault_plan=poison)
         (failure,) = report.failures
         assert failure.index == 1 and failure.attempts == 2
 
         report2, journal2 = run_sweep(
-            pts, _config(keep_going=True, max_retries=1),
+            pts, **_config(keep_going=True, max_retries=1),
             progress=None, resume=True, fault_plan=FaultPlan())
         assert journal2.replay_poisoned == 1
         assert journal2.replay_preresolved == 3
@@ -357,12 +354,12 @@ class TestInterruptAndResume:
     def test_poisoned_point_raises_under_fail_fast(self, cache_dir,
                                                    fake_executor):
         pts = _points(4)
-        run = run_sweep(pts, _config(keep_going=True, max_retries=0),
+        run = run_sweep(pts, **_config(keep_going=True, max_retries=0),
                         progress=None,
                         fault_plan=FaultPlan([Fault(ERROR, 1)]))
         assert run[0].failures
         with pytest.raises(PointFailure):
-            run_sweep(pts, _config(keep_going=False, max_retries=0),
+            run_sweep(pts, **_config(keep_going=False, max_retries=0),
                       progress=None, resume=True,
                       fault_plan=FaultPlan())
 
@@ -372,14 +369,14 @@ class TestInterruptAndResume:
         mid-append: the damaged record is lost, its point re-enters."""
         pts = _points(4)
         plan = FaultPlan([Fault(TORN_JOURNAL, 1)])
-        report, journal = run_sweep(pts, _config(), progress=None,
+        report, journal = run_sweep(pts, **_config(), progress=None,
                                     fault_plan=plan)
         assert len(report.results) == len(pts)
         events = read_events(journal.segment_path(1))
         assert events, "torn tail must not destroy the whole segment"
         assert events[-1].get("event") != "end"  # the trailer was torn
 
-        report2, journal2 = run_sweep(pts, _config(), progress=None,
+        report2, journal2 = run_sweep(pts, **_config(), progress=None,
                                       resume=True,
                                       fault_plan=FaultPlan())
         ref = _ref_states(pts)
@@ -399,7 +396,6 @@ _CHILD_SCRIPT = textwrap.dedent("""
     from repro.cpu.stats import SimStats
     from repro.experiments import runner
     from repro.experiments.journal import run_sweep
-    from repro.experiments.service import ServiceConfig
     from repro.experiments.sweep import SweepPoint
 
     def fake_run_serial(point, use_cache):
@@ -419,10 +415,8 @@ _CHILD_SCRIPT = textwrap.dedent("""
     points = [SweepPoint("mysql_sibench", pf, scale="tiny", seed=seed)
               for seed in (1, 2)
               for pf in (None, "eip", "mana", "hierarchical", "efetch")]
-    config = ServiceConfig(shards=2, jobs=1, inline=True,
-                           backoff_base=0.0)
     print("ready", flush=True)
-    run_sweep(points, config, progress=None)
+    run_sweep(points, progress=None, backoff_base=0.0)
 """)
 
 
@@ -465,7 +459,7 @@ class TestSigkillChaos:
         assert interrupted["status"] is None  # killed: no end trailer
         assert interrupted["missing"], "child must not have finished"
 
-        report, journal = run_sweep(pts, _config(), progress=None,
+        report, journal = run_sweep(pts, **_config(), progress=None,
                                     resume=True, fault_plan=FaultPlan())
         assert journal.run_dir == run_dir and journal.segment == 2
         # Bit-identical to an uninterrupted (serial, fault-free) run.
@@ -491,78 +485,46 @@ class TestSigkillChaos:
 
 
 # ----------------------------------------------------------------------
-# Shard watchdog: pool deaths restart, repeated deaths degrade
+# Durable journal appends
 # ----------------------------------------------------------------------
-class TestWatchdog:
-    def test_dead_pool_restarts_and_requeues(self, cache_dir,
-                                             fake_executor):
-        pts = _points(8)
-        plan = FaultPlan([Fault(SHARD_KILL, 0, times=2)])
-        report, journal = run_sweep(pts, _config(), progress=None,
-                                    fault_plan=plan)
-        ref = _ref_states(pts)
-        assert len(report.results) == len(pts)
-        for result in report:
-            assert result.stats.state_dict() == ref[result.point.key()]
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["pool_restarts"] == 2
-        assert summary["pool_retired"] == 0
-        assert summary["requeued"] >= 1
-        assert summary["missing"] == [] and summary["duplicates"] == []
+def _journal_fails_on_append(monkeypatch, n):
+    """Make every fsync'd JsonlEventLog (the run journal) raise ENOSPC
+    on its ``n``-th append; best-effort logs are untouched."""
+    original = JsonlEventLog.__call__
+    appends = []
 
-    def test_repeated_deaths_retire_the_shard(self, cache_dir,
-                                              fake_executor):
-        pts = _points(8)
-        plan = FaultPlan([Fault(SHARD_KILL, 0)])  # every incarnation
-        report, journal = run_sweep(
-            pts, _config(max_pool_restarts=1), progress=None,
-            fault_plan=plan)
-        assert len(report.results) == len(pts)  # degraded, not failed
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["pool_restarts"] == 1
-        assert summary["pool_retired"] == 1
-        assert summary["missing"] == [] and summary["duplicates"] == []
+    def flaky(self, event):
+        if self.fsync:
+            appends.append(event["event"])
+            if len(appends) == n:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return original(self, event)
 
-    def test_no_surviving_pool_raises(self, cache_dir, fake_executor):
-        pts = _points(4)
-        plan = FaultPlan([Fault(SHARD_KILL, 0), Fault(SHARD_KILL, 1)])
-        with pytest.raises(ShardDiedError):
-            serve_sweep(pts, _config(max_pool_restarts=0),
-                        progress=None, fault_plan=plan)
+    monkeypatch.setattr(JsonlEventLog, "__call__", flaky)
 
-    def test_stalled_heartbeat_detected(self, cache_dir, fake_executor,
-                                        monkeypatch):
-        """A shard whose loop stops beating (here: wedged on a blocking
-        call) is cancelled and requeued by the watchdog."""
-        import repro.experiments.service as service_mod
 
-        pts = _points(4)
-        original = service_mod._shard_loop
-        wedged = {"done": False}
+class TestDurableJournal:
+    def test_failed_append_fails_the_run_and_reaps_workers(
+            self, cache_dir, fake_executor, monkeypatch):
+        # Appends: begin, scheduled #0, scheduled #1 — the third fails
+        # while worker #0 is in flight.
+        _journal_fails_on_append(monkeypatch, 3)
+        seen = []
+        with pytest.raises(JournalError, match="No space left"):
+            run_sweep(_points(4), **_config(jobs=2), events=seen.append,
+                      progress=None, fault_plan=FaultPlan())
+        assert multiprocessing.active_children() == []
+        # The best-effort sink still receives the trailer.
+        assert seen[-1]["event"] == "end"
+        assert seen[-1]["status"] == "failed"
 
-        async def wedge_shard_zero(shard, incarnation, *args, **kw):
-            if shard == 0 and not wedged["done"]:
-                wedged["done"] = True
-                import asyncio
-                await asyncio.sleep(30.0)  # beats stop: loop never runs
-            return await original(shard, incarnation, *args, **kw)
-
-        monkeypatch.setattr(service_mod, "_shard_loop", wedge_shard_zero)
-        report, journal = run_sweep(
-            pts, _config(watchdog_timeout=0.2), progress=None,
-            fault_plan=FaultPlan())
-        assert len(report.results) == len(pts)
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["pool_restarts"] >= 1
-        assert summary["missing"] == [] and summary["duplicates"] == []
-
-    def test_heartbeat_events_emitted(self, cache_dir, fake_executor):
-        pts = _points(4)
-        report, journal = run_sweep(
-            pts, _config(heartbeat_interval=0.0001), progress=None,
-            fault_plan=FaultPlan())
-        summary = summarize_events(read_run_events(journal.run_dir))
-        assert summary["heartbeats"] >= 1
+    def test_cli_reports_failed_append(self, cache_dir, fake_executor,
+                                       monkeypatch, capsys):
+        _journal_fails_on_append(monkeypatch, 3)
+        rc = main(["sweep", WORKLOAD, "--prefetchers", "eip",
+                   "--scale", "tiny"])
+        assert rc != 0
+        assert "run journal append failed" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -643,9 +605,31 @@ class TestFollow:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_resume_requires_service_mode(self, capsys):
-        assert main(["sweep", "mysql_sibench", "--resume"]) == 2
-        assert "--resume requires" in capsys.readouterr().err
+    def test_flag_grid_interrupt_then_resume_exactly_once(
+            self, cache_dir, tmp_path, monkeypatch, capsys):
+        """A grid built from flags is journaled like a manifest: it
+        streams --events, drains on SIGTERM, and --resume finishes it
+        with one terminal record per point."""
+        events = tmp_path / "events.jsonl"
+        argv = ["sweep", WORKLOAD, "--prefetchers", "eip",
+                "--scale", "tiny", "--jobs", "2", "--events", str(events)]
+        monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(
+            {"faults": [{"kind": "parent_signal", "point": 1,
+                         "signum": int(signal.SIGTERM)}]}))
+        assert main(argv) == 128 + signal.SIGTERM
+        assert "--resume" in capsys.readouterr().err
+        first = summarize_events(read_events(events))
+        assert first["status"] == "interrupted"
+        assert first["completed"] >= 1
+
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
+        assert main(argv + ["--resume"]) == 0
+        assert "resumed:" in capsys.readouterr().out
+        (run_dir,) = list_runs()
+        summary = summarize_events(read_run_events(run_dir))
+        assert summary["segments"] == 2 and summary["status"] == "ok"
+        assert summary["total"] == summary["completed"] == 2
+        assert summary["missing"] == [] and summary["duplicates"] == []
 
     def test_resume_rejects_no_cache(self, tmp_path, capsys):
         manifest = tmp_path / "m.toml"
@@ -666,7 +650,7 @@ class TestCli:
     def test_manifest_events_reads_run_directory(
             self, cache_dir, fake_executor, capsys):
         pts = _points(4)
-        _report, journal = run_sweep(pts, _config(), progress=None,
+        _report, journal = run_sweep(pts, **_config(), progress=None,
                                      fault_plan=FaultPlan())
         assert main(["manifest", "events", str(journal.run_dir),
                      "--check"]) == 0

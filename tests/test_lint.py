@@ -635,154 +635,6 @@ class TestCli:
 
 
 # ======================================================================
-# async-safety
-# ======================================================================
-ASYNC_PYPROJECT = """\
-[project]
-name = 'fixture'
-[tool.repro.lint]
-async-paths = ['src/repro/svc.py']
-"""
-
-
-class TestAsyncSafety:
-    def test_direct_blocking_call_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/svc.py": """\
-            import time
-
-            async def pump():
-                time.sleep(0.1)
-            """}, pyproject=ASYNC_PYPROJECT)
-        report = lint(tmp_path, rules=["async-safety"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert "time.sleep" in f.message and "pump" in f.message
-        assert f.path == "src/repro/svc.py" and f.line == 4
-
-    def test_awaiting_twin_is_clean(self, tmp_path):
-        project(tmp_path, {"src/repro/svc.py": """\
-            import asyncio
-
-            async def pump():
-                await asyncio.sleep(0.1)
-            """}, pyproject=ASYNC_PYPROJECT)
-        assert lint(tmp_path, rules=["async-safety"]).findings == []
-
-    def test_outside_async_paths_not_reported(self, tmp_path):
-        project(tmp_path, {"src/repro/other.py": """\
-            import time
-
-            async def pump():
-                time.sleep(0.1)
-            """}, pyproject=ASYNC_PYPROJECT)
-        assert lint(tmp_path, rules=["async-safety"]).findings == []
-
-    def test_transitive_blocking_anchored_at_first_hop(self, tmp_path):
-        project(tmp_path, {
-            "src/repro/helper.py": """\
-                import time
-
-                def flush():
-                    time.sleep(1.0)
-                """,
-            "src/repro/svc.py": """\
-                from repro import helper
-
-                async def pump():
-                    helper.flush()
-                """,
-        }, pyproject=ASYNC_PYPROJECT)
-        report = lint(tmp_path, rules=["async-safety"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        # Anchored at the call edge inside the coroutine, not at the
-        # blocking site in the other file.
-        assert f.path == "src/repro/svc.py" and f.line == 4
-        assert "time.sleep" in f.message and "flush" in f.message
-
-    def test_allow_waiver_suppresses(self, tmp_path):
-        project(tmp_path, {
-            "src/repro/helper.py": """\
-                import time
-
-                def flush():
-                    time.sleep(1.0)
-                """,
-            "src/repro/svc.py": """\
-                from repro import helper
-
-                async def pump():
-                    helper.flush()  # lint: allow[async-safety]
-                """,
-        }, pyproject=ASYNC_PYPROJECT)
-        assert lint(tmp_path, rules=["async-safety"]).findings == []
-
-    def test_lambda_signal_handler_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/svc.py": """\
-            import signal
-
-            def install(loop, stop):
-                loop.add_signal_handler(
-                    signal.SIGINT, lambda: stop.set())
-            """}, pyproject=ASYNC_PYPROJECT)
-        report = lint(tmp_path, rules=["async-safety"])
-        assert any("lambda" in f.message for f in report.findings)
-
-    def test_blocking_signal_handler_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/svc.py": """\
-            import signal
-            import time
-
-            class Stop:
-                def slow(self, signum=None):
-                    time.sleep(1.0)
-
-            def install(loop, stop):
-                loop.add_signal_handler(
-                    signal.SIGINT, stop.slow, signal.SIGINT)
-            """}, pyproject=ASYNC_PYPROJECT)
-        report = lint(tmp_path, rules=["async-safety"])
-        assert any("signal handler" in f.message
-                   and "time.sleep" in f.message
-                   for f in report.findings)
-
-    def test_flag_set_signal_handler_is_clean(self, tmp_path):
-        project(tmp_path, {"src/repro/svc.py": """\
-            import signal
-            import threading
-
-            class Stop:
-                def __init__(self):
-                    self._event = threading.Event()
-
-                def request(self, signum=None):
-                    self._event.set()
-
-            def install(loop, stop):
-                loop.add_signal_handler(
-                    signal.SIGINT, stop.request, signal.SIGINT)
-            """}, pyproject=ASYNC_PYPROJECT)
-        assert lint(tmp_path, rules=["async-safety"]).findings == []
-
-    def test_await_under_sync_lock_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/svc.py": """\
-            import asyncio
-            import threading
-
-            class Pump:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                async def run(self):
-                    with self._lock:
-                        await asyncio.sleep(0)
-            """}, pyproject=ASYNC_PYPROJECT)
-        report = lint(tmp_path, rules=["async-safety"])
-        assert any("synchronous lock" in f.message
-                   for f in report.findings)
-
-
-# ======================================================================
 # event-schema
 # ======================================================================
 EVENT_PYPROJECT = """\
@@ -898,61 +750,6 @@ class TestEventSchema:
                       "'src/repro/absent.py::EVENT_SCHEMA'\n"
                       "event-consumer-paths = ['src/repro/consume.py']\n")
         assert lint(tmp_path, rules=["event-schema"]).findings == []
-
-
-# ======================================================================
-# boundary-transport
-# ======================================================================
-class TestBoundaryTransport:
-    def test_set_literal_field_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def send(q):
-                q.put(WorkUnit(index=0, attempt=1, point={1, 2}))
-            """})
-        report = lint(tmp_path, rules=["boundary-transport"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert "field 'point'" in f.message and "a set" in f.message
-
-    def test_local_dataflow_traces_assignment(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def send(q):
-                blob = b"raw"
-                q.put(WorkOutcome(0, 1, "ok", stats_state=blob))
-            """})
-        report = lint(tmp_path, rules=["boundary-transport"])
-        assert len(report.findings) == 1
-        assert "bytes literal" in report.findings[0].message
-        assert "assigned to 'blob' at line 2" in \
-            report.findings[0].message
-
-    def test_path_positional_arg_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            from pathlib import Path
-
-            def send(q):
-                q.put(WorkUnit(Path("x"), 1, {}))
-            """})
-        report = lint(tmp_path, rules=["boundary-transport"])
-        assert len(report.findings) == 1
-        assert "positional arg 0" in report.findings[0].message
-
-    def test_json_safe_twin_is_clean(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def send(q):
-                q.put(WorkUnit(index=1, attempt=2,
-                               point={"label": "a", "n": 3}))
-            """})
-        assert lint(tmp_path,
-                    rules=["boundary-transport"]).findings == []
-
-    def test_non_transport_calls_ignored(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def build():
-                return Other(frozenset({1}), lambda: 2)
-            """})
-        assert lint(tmp_path,
-                    rules=["boundary-transport"]).findings == []
 
 
 # ======================================================================
@@ -1414,9 +1211,9 @@ class TestRealTree:
 
     def test_every_rule_registered(self):
         assert rule_names() == [
-            "async-safety", "boundary-transport", "crash-ordering",
-            "determinism", "error-taxonomy", "event-schema",
-            "hot-loop", "pickle-safety", "snapshot-coverage",
+            "crash-ordering", "determinism", "error-taxonomy",
+            "event-schema", "hot-loop", "pickle-safety",
+            "snapshot-coverage",
         ]
 
     def test_repo_config_matches_defaults(self):

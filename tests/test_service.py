@@ -1,22 +1,20 @@
-"""The sharded sweep service (docs/SWEEP_SERVICE.md).
+"""The sweep engine's event stream (docs/SWEEP_SERVICE.md).
 
 Contracts under test:
 
-* service sweeps are bit-identical to a serial ``sweep()`` of the same
-  points (real worker processes and the inline thread path alike);
-* the WorkUnit/WorkOutcome protocol round-trips through its flat spec
-  form (the remote-worker seam);
+* worker-process sweeps are bit-identical to an in-process ``sweep()``
+  of the same points;
 * the JSONL progress stream accounts for every point — scheduled,
   completed (cache hits included), retried, failed;
-* the PR-4 retry/backoff/keep-going semantics ride along unchanged;
-* the ISSUE acceptance grid: a 1,200-point manifest completes through
-  the service under injected crash/hang/truncate faults, survivors
-  bit-identical to the fault-free serial run.
+* retry/backoff/keep-going semantics hold with the stream attached;
+* best-effort sinks can never break a sweep;
+* the acceptance grid: a 1,200-point manifest completes in-process
+  under injected crash/hang/truncate faults, survivors bit-identical
+  to the fault-free run.
 """
 
 import hashlib
 import importlib
-import json
 
 import pytest
 
@@ -27,12 +25,8 @@ from repro.experiments.faults import CRASH, ERROR, HANG, Fault, FaultPlan
 from repro.experiments.manifest import parse_manifest
 from repro.experiments.service import (
     JsonlEventLog,
-    ServiceConfig,
-    WorkOutcome,
-    WorkUnit,
     format_events_summary,
     read_events,
-    serve_sweep,
     summarize_events,
 )
 from repro.experiments.sweep import SweepPoint, sweep
@@ -66,7 +60,7 @@ _CLEAN = None
 
 
 def _clean_states():
-    """Fault-free serial reference states (computed once)."""
+    """Fault-free in-process reference states (computed once)."""
     global _CLEAN
     if _CLEAN is None:
         report = sweep(_points(), use_cache=False, progress=None,
@@ -77,60 +71,15 @@ def _clean_states():
 
 
 # ----------------------------------------------------------------------
-# Protocol round-trips
-# ----------------------------------------------------------------------
-class TestProtocol:
-    def test_work_unit_spec_round_trip(self):
-        unit = WorkUnit(3, 2, SweepPoint(WORKLOAD, "eip", scale="tiny",
-                                         seed=7))
-        spec = json.loads(json.dumps(unit.to_spec()))
-        again = WorkUnit.from_spec(spec)
-        assert again == unit
-        assert again.point.key() == unit.point.key()
-
-    def test_work_outcome_spec_round_trip(self):
-        for outcome in (
-            WorkOutcome(0, 1, "ok", stats_state={"instructions": 5},
-                        source="sim", seconds=1.5),
-            WorkOutcome(1, 2, "crash", exitcode=73, message="died"),
-            WorkOutcome(2, 3, "timeout", timeout=10.0, message="slow"),
-            WorkOutcome(3, 1, "transient", message="flaky"),
-        ):
-            spec = json.loads(json.dumps(outcome.to_spec()))
-            assert WorkOutcome.from_spec(spec) == outcome
-
-    def test_outcome_errors_follow_taxonomy(self):
-        from repro.experiments.errors import (
-            PointTimeoutError,
-            TransientError,
-            WorkerCrashError,
-        )
-
-        assert isinstance(WorkOutcome(0, 1, "crash").to_error("x"),
-                          WorkerCrashError)
-        assert isinstance(WorkOutcome(0, 1, "timeout").to_error("x"),
-                          PointTimeoutError)
-        assert isinstance(WorkOutcome(0, 1, "transient").to_error("x"),
-                          TransientError)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(shards=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(jobs=0)
-
-
-# ----------------------------------------------------------------------
-# Bit-identity with the serial engine (real simulations)
+# Bit-identity with the in-process engine (real simulations)
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     def test_process_mode_matches_serial(self, cache_dir, tmp_path):
         events = tmp_path / "events.jsonl"
         with JsonlEventLog(events) as log:
-            report = serve_sweep(
-                _points(),
-                ServiceConfig(shards=2, jobs=1, use_cache=False),
-                events=log, progress=None, fault_plan=FaultPlan())
+            report = sweep(_points(), jobs=2, use_cache=False,
+                           events=log, progress=None,
+                           fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _clean_states()
         summary = summarize_events(read_events(events))
@@ -142,10 +91,8 @@ class TestBitIdentity:
         events = tmp_path / "events.jsonl"
         plan = FaultPlan([Fault(CRASH, f"{WORKLOAD}/eip", times=1)])
         with JsonlEventLog(events) as log:
-            report = serve_sweep(
-                _points(),
-                ServiceConfig(shards=2, jobs=1, use_cache=False),
-                events=log, progress=None, fault_plan=plan)
+            report = sweep(_points(), jobs=2, use_cache=False,
+                           events=log, progress=None, fault_plan=plan)
         assert report.ok
         assert _states(report) == _clean_states()
         summary = summarize_events(read_events(events))
@@ -158,9 +105,8 @@ class TestBitIdentity:
         runner.clear_run_cache()  # drop memory layer; keep disk
         events = tmp_path / "events.jsonl"
         with JsonlEventLog(events) as log:
-            report = serve_sweep(_points(), ServiceConfig(shards=2),
-                                 events=log, progress=None,
-                                 fault_plan=FaultPlan())
+            report = sweep(_points(), jobs=2, events=log, progress=None,
+                           fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _clean_states()
         raw = read_events(events)
@@ -172,10 +118,8 @@ class TestBitIdentity:
     def test_fail_fast_raises_point_failure(self, cache_dir):
         plan = FaultPlan([Fault(ERROR, f"{WORKLOAD}/eip")])  # persistent
         with pytest.raises(PointFailure) as exc:
-            serve_sweep(_points(),
-                        ServiceConfig(shards=2, jobs=1, use_cache=False,
-                                      max_retries=0, backoff_base=0.0),
-                        progress=None, fault_plan=plan)
+            sweep(_points(), jobs=2, use_cache=False, max_retries=0,
+                  backoff_base=0.0, progress=None, fault_plan=plan)
         assert exc.value.kind == "transient"
 
 
@@ -234,6 +178,30 @@ class TestEvents:
                      "--check"]) == 0
         assert "unknown:" in capsys.readouterr().out
 
+    def test_retired_kinds_from_old_writers_pass_check(self, tmp_path,
+                                                       capsys):
+        # A v2 stream from before the one-engine sweep: its heartbeat
+        # and pool_restarted records are tallied as unknown, and the
+        # point accounting still passes --check.
+        from repro.cli import main
+        stream = tmp_path / "old.jsonl"
+        with JsonlEventLog(stream) as log:
+            log({"v": 2, "seq": 1, "event": "begin", "total": 1,
+                 "shards": 2, "jobs": 1})
+            log({"v": 2, "seq": 2, "event": "heartbeat", "shard": 0,
+                 "incarnation": 1, "live": 1, "outstanding": 1})
+            log({"v": 2, "seq": 3, "event": "pool_restarted", "shard": 1,
+                 "incarnation": 2, "requeued": 0, "error": "x"})
+            log({"v": 2, "seq": 4, "event": "completed", "index": 0,
+                 "source": "sim", "shard": 0})
+            log({"v": 2, "seq": 5, "event": "end", "status": "ok"})
+        summary = summarize_events(read_events(stream))
+        assert summary["unknown"] == {"heartbeat": 1, "pool_restarted": 1}
+        assert summary["completed"] == 1 and summary["missing"] == []
+        assert main(["manifest", "events", str(stream), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "1 heartbeat, 1 pool_restarted" in out
+
     def test_missing_optional_keys_tolerated(self):
         # Optional envelope/schema keys absent everywhere: summarize
         # must fall back, not KeyError.
@@ -287,14 +255,13 @@ class TestEvents:
         def exploding_sink(event):
             raise RuntimeError("sink down")
 
-        report = serve_sweep(
-            _points(), ServiceConfig(shards=1, jobs=1, use_cache=False),
-            events=exploding_sink, progress=None, fault_plan=FaultPlan())
+        report = sweep(_points(), use_cache=False, events=exploding_sink,
+                       progress=None, fault_plan=FaultPlan())
         assert report.ok
 
 
 # ----------------------------------------------------------------------
-# The 1,200-point acceptance grid (fake executor: the scheduler,
+# The 1,200-point acceptance grid (fake executor: the supervision loop,
 # retry engine, cache layers, and event stream are all real — only the
 # simulation itself is synthesized, deterministically per point key)
 # ----------------------------------------------------------------------
@@ -331,7 +298,7 @@ class TestAcceptanceScale:
         points = manifest.expand()
         assert len(points) == 1200
 
-        # Fault-free serial reference (the bit-identity baseline).
+        # Fault-free reference (the bit-identity baseline).
         reference = sweep(points, use_cache=False, progress=None,
                           fault_plan=FaultPlan())
         assert reference.ok
@@ -351,14 +318,11 @@ class TestAcceptanceScale:
         ])
         events = tmp_path / "acceptance.jsonl"
         with JsonlEventLog(events) as log:
-            report = serve_sweep(
-                points,
-                ServiceConfig(shards=4, jobs=8, inline=True,
-                              keep_going=True, backoff_base=0.0),
-                events=log, progress=None, fault_plan=plan)
+            report = sweep(points, keep_going=True, backoff_base=0.0,
+                           events=log, progress=None, fault_plan=plan)
 
         # Survivors: everything except the persistently hung point,
-        # each bit-identical to the fault-free serial run.
+        # each bit-identical to the fault-free run.
         assert len(report) == 1199
         for result in report:
             assert result.stats.state_dict() == ref[result.point.key()], \
@@ -382,11 +346,9 @@ class TestAcceptanceScale:
         runner.reset_run_cache_stats()
         events2 = tmp_path / "warm.jsonl"
         with JsonlEventLog(events2) as log:
-            again = serve_sweep(
-                points,
-                ServiceConfig(shards=4, jobs=8, inline=True,
-                              keep_going=True, backoff_base=0.0),
-                events=log, progress=None, fault_plan=FaultPlan())
+            again = sweep(points, keep_going=True, backoff_base=0.0,
+                          events=log, progress=None,
+                          fault_plan=FaultPlan())
         assert again.ok and len(again) == 1200
         for result in again:
             assert result.stats.state_dict() == ref[result.point.key()]
