@@ -631,6 +631,14 @@ class TestCli:
         assert summary["total"] == summary["completed"] == 2
         assert summary["missing"] == [] and summary["duplicates"] == []
 
+    def test_resume_requires_service_mode(self, cache_dir, capsys):
+        """--resume needs no --manifest: a flag-built grid reaches the
+        run journal, which reports that no run of this grid exists."""
+        assert main(["sweep", WORKLOAD, "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "no resumable run" in err
+        assert "--resume requires" not in err
+
     def test_resume_rejects_no_cache(self, tmp_path, capsys):
         manifest = tmp_path / "m.toml"
         manifest.write_text('[sweep]\nworkloads = ["mysql_sibench"]\n')

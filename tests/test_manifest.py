@@ -20,6 +20,7 @@ from repro.experiments.manifest import (
     parse_manifest,
     tomllib,
 )
+from repro.experiments.service import read_events, summarize_events
 from repro.experiments.sweep import DEFAULT_PREFETCHERS, grid
 
 needs_toml = pytest.mark.skipif(
@@ -280,6 +281,18 @@ class TestCli:
         path.write_text(json.dumps(_doc(scale="tiny")))
         assert main(["sweep", "beego", "--manifest", str(path)]) == 2
         assert "--manifest already defines" in capsys.readouterr().err
+
+    def test_sweep_events_requires_service(self, tmp_path, capsys):
+        """--events needs no --manifest: a flag-built grid streams the
+        same complete event record as a manifest sweep."""
+        events = tmp_path / "x.jsonl"
+        assert main(["sweep", "mysql_sibench", "--prefetchers", "eip",
+                     "--scale", "tiny", "--events", str(events)]) == 0
+        assert "--events requires" not in capsys.readouterr().err
+        summary = summarize_events(read_events(events))
+        assert summary["status"] == "ok"
+        assert summary["total"] == summary["completed"] == 2
+        assert summary["missing"] == [] and summary["duplicates"] == []
 
     def test_sweep_rejects_invalid_manifest(self, tmp_path, capsys):
         path = tmp_path / "m.json"
