@@ -660,9 +660,10 @@ def cmd_cache(args) -> int:
     from repro.experiments import diskcache
 
     cache = diskcache.get_cache()
-    warmup = diskcache.get_warmup_cache()
+    stores = (("results", cache), ("warmup", diskcache.get_warmup_cache()),
+              ("traces", diskcache.get_trace_cache()))
     if args.action == "info":
-        for title, store in (("results", cache), ("warmup", warmup)):
+        for title, store in stores:
             s = store.stats()
             print(f"{title}: {s['entries']} entries, {s['bytes']} bytes, "
                   f"{s['legacy']} legacy flat, {s['quarantined']} "
@@ -676,7 +677,7 @@ def cmd_cache(args) -> int:
                   "REPRO_CACHE_MIN_FREE)")
         return 0
     if args.action == "compact":
-        for title, store in (("results", cache), ("warmup", warmup)):
+        for title, store in stores:
             report = store.compact(
                 purge_quarantined=not args.keep_quarantined)
             print(f"{title}: {report.describe()}")

@@ -76,8 +76,8 @@ SCHEMA_VERSION = 1
 QUARANTINE_SUFFIX = ".corrupt"
 
 #: Shard directories are exactly two lowercase hex characters; nothing
-#: else under the root (``warmup``, stray files) is ever touched by
-#: compaction.
+#: else under the root (``warmup``, ``traces``, stray files) is ever
+#: touched by compaction.
 _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
 
 _ENV_DIR = "REPRO_CACHE_DIR"
@@ -420,10 +420,11 @@ class DiskCache:
           (``purge_quarantined``, default on);
         * remove shard directories left empty.
 
-        ``warmup`` (the nested checkpoint store) and anything else that
-        is not a two-hex-char shard directory is never touched; run
-        ``compact()`` on :func:`get_warmup_cache` separately to GC
-        checkpoints.
+        ``warmup`` and ``traces`` (the nested checkpoint and trace
+        stores) and anything else that is not a two-hex-char shard
+        directory are never touched; run ``compact()`` on
+        :func:`get_warmup_cache` and :func:`get_trace_cache` separately
+        to GC them.
         """
         report = CompactReport()
         # Legacy flat entries: validate, then migrate or quarantine.
@@ -517,6 +518,13 @@ def get_warmup_cache() -> DiskCache:
     ``REPRO_DISK_CACHE=0`` disables both.
     """
     return DiskCache(get_cache().root / "warmup")
+
+
+def get_trace_cache() -> DiskCache:
+    """Nested store for built execution traces, rooted at
+    ``<root>/traces`` and sharing the root exactly like
+    :func:`get_warmup_cache`."""
+    return DiskCache(get_cache().root / "traces")
 
 
 def set_cache_dir(root: Optional[os.PathLike]) -> Optional[Path]:

@@ -109,7 +109,9 @@ def grid_fingerprint(points: Sequence[SweepPoint]) -> str:
 
     Deliberately excludes the sweep policy (jobs, retries, timeouts):
     a resume may reschedule the same grid differently; the results are
-    keyed by the points alone.
+    keyed by the points alone.  Point keys carry the simulator's code
+    hash, so a journal written by other code is another grid and is
+    never resumed.
     """
     blob = json.dumps([point.key() for point in points])
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

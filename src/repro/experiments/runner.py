@@ -18,9 +18,15 @@ Caching is two-level:
 The key includes every input that can change the result: workload,
 scale, prefetcher and its kwargs, config overrides, miss tracking,
 warmup fraction, trace seed, and a fingerprint of the default
-:class:`~repro.cpu.config.MachineConfig` plus the payload schema
-version (so cached results are invalidated when the model or the
-serialization format changes).
+:class:`~repro.cpu.config.MachineConfig`, the payload schema version
+and the simulator's source code (:func:`code_hash`), so cached results
+are invalidated when the model, the serialization format or the code
+changes.
+
+Traces get the same treatment: :func:`get_trace` puts a nested on-disk
+trace store (``<cache>/traces``) behind the in-process trace memo, so
+each worker of a cold sweep loads a trace some earlier point built
+instead of rebuilding the application.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import PrefetchReport, compare_run
@@ -36,11 +43,13 @@ from repro.cpu.config import DEFAULT_WARMUP
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache
 from repro.prefetchers import make_prefetcher
-from repro.workloads.cache import get_trace
+from repro.workloads import cache as workload_cache
+from repro.workloads.trace import Trace
 
 __all__ = [
     "DEFAULT_WARMUP",  # re-exported from repro.cpu.config (the source)
     "REPRESENTATIVE_WORKLOADS", "RunCacheStats", "cache_key",
+    "code_hash", "trace_key", "get_trace",
     "run_prefetcher", "run_baseline", "compare_all",
     "perfect_l1i_speedup", "run_cache_stats", "reset_run_cache_stats",
     "record_source", "seed_cache", "peek_cached", "clear_run_cache",
@@ -59,13 +68,45 @@ _CACHE: Dict[str, Tuple[SimStats, Optional[dict]]] = {}
 
 _FINGERPRINT: Optional[str] = None
 
+#: The packages whose source determines a simulated result or a trace.
+_CODE_PACKAGES = ("callgraph", "core", "cpu", "frontend", "isa", "memory",
+                  "prefetchers", "workloads")
+
+_CODE_HASH: Optional[str] = None
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 over the sorted (relative path, bytes) of every ``.py``
+    file in the simulator packages under the package root ``root``."""
+    files = sorted(
+        (path.relative_to(root).as_posix(), path)
+        for package in _CODE_PACKAGES
+        for path in (root / package).rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def code_hash() -> str:
+    """:func:`source_digest` of this process's own ``repro`` package,
+    computed once per process."""
+    global _CODE_HASH
+    if _CODE_HASH is None:
+        _CODE_HASH = source_digest(Path(__file__).resolve().parent.parent)
+    return _CODE_HASH
+
 
 def _config_fingerprint() -> str:
-    """Digest of the default machine configuration + cache schema.
+    """Digest of the default machine configuration, the cache schema and
+    the simulator's source code.
 
-    Baked into every cache key: when Table-1 defaults or the payload
-    layout change between revisions, old on-disk entries silently stop
-    matching instead of serving stale timing results.
+    Baked into every cache key: when Table-1 defaults, the payload
+    layout or the code change between revisions, old on-disk entries
+    silently stop matching instead of serving stale timing results.
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
@@ -78,7 +119,8 @@ def _config_fingerprint() -> str:
             return obj
         blob = json.dumps(
             {"config": unwrap(MachineConfig()),
-             "schema": diskcache.SCHEMA_VERSION},
+             "schema": diskcache.SCHEMA_VERSION,
+             "code": code_hash()},
             sort_keys=True, default=str,
         )
         _FINGERPRINT = hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -114,6 +156,12 @@ def _warmup_key(workload: str, scale: str, prefetcher: Optional[str],
         "warmup", workload, scale, prefetcher or "fdip", encode(pf_kwargs),
         encode(overrides), f"{warmup}", f"s{seed}", _config_fingerprint(),
     ])
+
+
+def trace_key(workload: str, scale: str, seed: int) -> str:
+    """Trace-store key: a trace depends on its generator's code, not on
+    the machine configuration."""
+    return f"trace|{workload}|{scale}|s{seed}|{code_hash()[:12]}"
 
 
 def cache_key(
@@ -154,6 +202,9 @@ class RunCacheStats:
     #: Cache writes refused by the disk-space guard (the volume was
     #: nearly full); the result still flows, it just is not persisted.
     write_refusals: int = 0
+    #: Traces loaded from the on-disk trace store instead of built.
+    trace_hits: int = 0
+    trace_writes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -292,6 +343,54 @@ def _warmup_store(wkey: str, state: dict) -> None:
 
 
 # ----------------------------------------------------------------------
+# Trace store
+# ----------------------------------------------------------------------
+class _DiskTraceStore:
+    """The :class:`~repro.workloads.cache.TraceStore` at
+    ``<cache>/traces``, validated like the result store."""
+
+    def load(self, name: str, scale: str, seed: int) -> Optional[Trace]:
+        key = trace_key(name, scale, seed)
+        payload = diskcache.get_trace_cache().get(key)
+        if payload is None:
+            return None
+        if payload.get("schema") != diskcache.SCHEMA_VERSION:
+            return None
+        if payload.get("key") != key:
+            return None
+        try:
+            trace = Trace.from_payload(payload["trace"])
+        except (KeyError, TypeError, ValueError):
+            return None  # stale or malformed payload: rebuild
+        _STATS.trace_hits += 1
+        return trace
+
+    def save(self, name: str, scale: str, seed: int, trace: Trace) -> None:
+        key = trace_key(name, scale, seed)
+        payload = {
+            "schema": diskcache.SCHEMA_VERSION,
+            "key": key,
+            "trace": trace.to_payload(),
+        }
+        diskcache.get_trace_cache().put(key, payload)
+        _STATS.trace_writes += 1
+
+
+_TRACE_STORE = _DiskTraceStore()
+
+
+def get_trace(workload: str, scale: str = "bench", seed: int = 1,
+              use_cache: bool = True) -> Trace:
+    """The trace for (workload, scale, seed): from the in-process memo,
+    else the on-disk trace store, else built and stored.
+    ``use_cache=False`` (and ``REPRO_DISK_CACHE=0``) skip the store."""
+    store = (_TRACE_STORE
+             if use_cache and diskcache.disk_cache_enabled() else None)
+    return workload_cache.get_trace(workload, scale=scale, seed=seed,
+                                    store=store)
+
+
+# ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
 def run_prefetcher(
@@ -323,7 +422,7 @@ def run_prefetcher(
             _STATS.disk_hits += 1
             _CACHE[key] = loaded
             return loaded
-    trace = get_trace(workload, scale=scale, seed=seed)
+    trace = get_trace(workload, scale=scale, seed=seed, use_cache=use_cache)
     config = MachineConfig()
     if overrides:
         config = config.replace(**overrides)
@@ -434,8 +533,9 @@ def perfect_l1i_speedup(workload: str, scale: str = "bench") -> float:
 
 def clear_run_cache(disk: bool = False) -> None:
     """Drop all cached simulation results (in-process; plus the on-disk
-    result and warmup-checkpoint stores when ``disk=True``)."""
+    result, warmup-checkpoint and trace stores when ``disk=True``)."""
     _CACHE.clear()
     if disk and diskcache.disk_cache_enabled():
         diskcache.get_cache().clear()
         diskcache.get_warmup_cache().clear()
+        diskcache.get_trace_cache().clear()

@@ -21,7 +21,11 @@ Guarantees:
   change any counter (asserted by tests/test_determinism.py and
   tests/test_faults.py).
 * **Order** — results come back in input order regardless of which
-  worker finishes first.
+  worker finishes first.  Workers are handed points *trace-first*: the
+  first pending point of every distinct (workload, scale, seed) trace
+  before the second point of any, so concurrent workers build
+  different traces and later points load them from the trace store
+  (:func:`repro.experiments.runner.get_trace`).
 * **Isolation** — with ``jobs >= 2`` every attempt runs in a fresh
   worker process supervised by the parent: a crashed worker
   (:class:`~repro.experiments.errors.WorkerCrashError`) or one
@@ -394,9 +398,11 @@ class _Supervisor:
         self.backoff_base = backoff_base
         self.use_cache = use_cache
         self.in_process = in_process
-        #: (ready_at, index, attempt): ready_at is a monotonic
+        #: (ready_at, rank, index, attempt): ready_at is a monotonic
         #: timestamp; retries re-enter with their backoff deadline.
-        self.waiting: List[Tuple[float, int, int]] = []
+        self.waiting: List[Tuple[float, int, int, int]] = []
+        #: Dispatch rank per pending index (see :meth:`run`).
+        self.rank: Dict[int, int] = {}
         #: Terminal outcomes resolved by the loop (parent-signal
         #: faults key off this count).
         self.resolved = 0
@@ -457,8 +463,8 @@ class _Supervisor:
         if isinstance(error, TransientError) \
                 and attempt <= self.max_retries:
             delay = backoff_delay(attempt, self.backoff_base, point.key())
-            self.waiting.append((time.monotonic() + delay, index,
-                                 attempt + 1))
+            self.waiting.append((time.monotonic() + delay,
+                                 self.rank[index], index, attempt + 1))
             self.emit("retried", index=index, label=point.label,
                       attempt=attempt, shard=0, kind=outcome[0],
                       next_attempt=attempt + 1, delay=round(delay, 4))
@@ -477,8 +483,26 @@ class _Supervisor:
             shutdown: Optional[ShutdownRequest]) -> None:
         """The supervision loop: keep up to ``jobs`` workers busy (or
         run one attempt at a time in-process) until every pending point
-        has a terminal outcome or a shutdown is requested."""
-        self.waiting = [(0.0, index, 1) for index in pending]
+        has a terminal outcome or a shutdown is requested.
+
+        Workers share traces only through the on-disk trace store, so
+        each pending point is ranked by its occurrence number within
+        its (workload, scale, seed) group: every trace's first point is
+        dispatched before any trace's second, so concurrent workers
+        build different traces rather than the same one twice.
+        In-process, the trace memo already shares traces and input
+        order keeps it warm, so every rank is 0.  Ties fall back to the
+        input index.
+        """
+        seen: Dict[Tuple[str, str, int], int] = {}
+        for index in pending:
+            point = self.points[index]
+            group = (point.workload, point.scale, point.seed)
+            rank = seen.get(group, 0)
+            seen[group] = rank + 1
+            self.rank[index] = 0 if self.in_process else rank
+        self.waiting = [(0.0, self.rank[index], index, 1)
+                        for index in pending]
         ctx = None if self.in_process else multiprocessing.get_context()
         plan_json = self.plan.to_json() if (self.plan and ctx) else None
         live: List[_Live] = []
@@ -491,7 +515,7 @@ class _Supervisor:
                 progressed = False
                 while self.waiting and len(live) < jobs \
                         and self.waiting[0][0] <= now:
-                    _, index, attempt = self.waiting.pop(0)
+                    _, _, index, attempt = self.waiting.pop(0)
                     point = self.points[index]
                     self.emit("scheduled", index=index, label=point.label,
                               attempt=attempt, shard=0)

@@ -3,36 +3,38 @@
 Binary generation takes ~1s and trace generation a few seconds per
 workload; experiments run the same trace under many prefetchers, so
 both are cached (applications by name, traces by (name, scale, seed),
-small LRU to bound memory).
+small LRU to bound memory).  A caller can put a persistent
+:class:`TraceStore` behind the trace memo, so a fresh process loads a
+trace instead of building its application.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, Optional, Protocol
 
 from repro.workloads.appmodel import Application
 from repro.workloads.suite import build_application, requests_for
 from repro.workloads.trace import Trace
 
+#: LRU bound for memoized traces.  A miss falls through to the trace
+#: store when one is given, so a grid that cycles through more
+#: workloads than this pays a store read, not an application build.
+TRACE_MEMO_SIZE = 6
+
 _APPS: Dict[str, Application] = {}
 _TRACES: OrderedDict = OrderedDict()
 
 
-def _trace_cache_max() -> int:
-    """LRU bound for memoized traces.
+class TraceStore(Protocol):
+    """Persistent traces behind the memo (``repro.experiments.runner``
+    keeps the on-disk one)."""
 
-    The default of 6 suits single-figure runs; full-grid sweeps touch
-    all 11 workloads round-robin and would evict every entry before its
-    reuse, so the bound is overridable via ``REPRO_TRACE_CACHE``.
-    """
-    try:
-        # Capacity only: eviction changes memory use, never the trace
-        # contents, so this env read cannot perturb simulated results.
-        return max(1, int(os.environ.get("REPRO_TRACE_CACHE", "6")))  # lint: allow[determinism]
-    except ValueError:
-        return 6
+    def load(self, name: str, scale: str, seed: int) -> Optional[Trace]:
+        """The stored trace, or None on a miss."""
+
+    def save(self, name: str, scale: str, seed: int, trace: Trace) -> None:
+        """Persist a freshly built trace."""
 
 
 def get_application(name: str) -> Application:
@@ -44,17 +46,23 @@ def get_application(name: str) -> Application:
     return app
 
 
-def get_trace(name: str, scale: str = "bench", seed: int = 1) -> Trace:
-    """Build (once) and return the trace for (workload, scale, seed)."""
+def get_trace(name: str, scale: str = "bench", seed: int = 1,
+              store: Optional[TraceStore] = None) -> Trace:
+    """Return the trace for (workload, scale, seed): from the memo,
+    else from ``store``, else built (and saved to ``store``)."""
     key = (name, scale, seed)
     trace = _TRACES.get(key)
     if trace is not None:
         _TRACES.move_to_end(key)
         return trace
-    app = get_application(name)
-    trace = app.trace(requests_for(name, scale), seed=seed)
+    trace = store.load(name, scale, seed) if store is not None else None
+    if trace is None:
+        app = get_application(name)
+        trace = app.trace(requests_for(name, scale), seed=seed)
+        if store is not None:
+            store.save(name, scale, seed, trace)
     _TRACES[key] = trace
-    while len(_TRACES) > _trace_cache_max():
+    while len(_TRACES) > TRACE_MEMO_SIZE:
         _TRACES.popitem(last=False)
     return trace
 

@@ -16,44 +16,41 @@ from typing import Union
 
 import numpy as np
 
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ARRAY_FIELDS, Trace
 
 #: Format version written into every file; bumped on layout changes.
 #: v2 adds the optional open-loop arrival process (``request_gaps`` +
 #: ``slo_instr``); v1 files still load (they predate arrivals).
 FORMAT_VERSION = 2
 
+#: On-disk dtype of each per-block array.
+_DTYPES = {"pc": "i8", "ninstr": "i4", "kind": "i1", "taken": "i1",
+           "target": "i8", "tagged": "i1"}
+
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` (``.npz``, compressed)."""
     path = Path(path)
+    fields = trace.to_payload()
     meta = {
         "version": FORMAT_VERSION,
-        "n_instructions": trace.n_instructions,
-        "stage_names": sorted({s[2] for s in trace.stage_spans}),
+        "n_instructions": fields["n_instructions"],
+        "stage_names": sorted({s[2] for s in fields["stage_spans"]}),
     }
     spans = np.array(
-        [(s, e, stage, rt) for s, e, stage, rt in trace.stage_spans],
+        [(s, e, stage, rt) for s, e, stage, rt in fields["stage_spans"]],
         dtype=[("start", "i8"), ("end", "i8"), ("stage", "U32"),
                ("rtype", "i4")],
     )
-    requests = np.array(trace.requests, dtype="i8").reshape(-1, 2)
-    arrays = dict(
-        meta=json.dumps(meta),
-        pc=np.array(trace.pc, dtype="i8"),
-        ninstr=np.array(trace.ninstr, dtype="i4"),
-        kind=np.array(trace.kind, dtype="i1"),
-        taken=np.array(trace.taken, dtype="i1"),
-        target=np.array(trace.target, dtype="i8"),
-        tagged=np.array(trace.tagged, dtype="i1"),
-        requests=requests,
-        stage_spans=spans,
-    )
-    if trace.request_gaps is not None:
-        meta["slo_instr"] = trace.slo_instr
-        arrays["meta"] = json.dumps(meta)
-        arrays["request_gaps"] = np.array(trace.request_gaps, dtype="f8")
-    np.savez_compressed(path, **arrays)
+    requests = np.array(fields["requests"], dtype="i8").reshape(-1, 2)
+    arrays = {name: np.array(fields[name], dtype=_DTYPES[name])
+              for name in ARRAY_FIELDS}
+    arrays.update(requests=requests, stage_spans=spans)
+    if fields["request_gaps"] is not None:
+        meta["slo_instr"] = fields["slo_instr"]
+        arrays["request_gaps"] = np.array(fields["request_gaps"],
+                                          dtype="f8")
+    np.savez_compressed(path, meta=json.dumps(meta), **arrays)
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -67,27 +64,20 @@ def load_trace(path: Union[str, Path]) -> Trace:
                 f"{path}: unsupported trace format version {version!r} "
                 f"(expected <= {FORMAT_VERSION})"
             )
-        trace = Trace()
-        trace.pc = data["pc"].tolist()
-        trace.ninstr = data["ninstr"].tolist()
-        trace.kind = data["kind"].tolist()
-        trace.taken = data["taken"].tolist()
-        trace.target = data["target"].tolist()
-        trace.tagged = data["tagged"].tolist()
-        trace.requests = [tuple(row) for row in data["requests"].tolist()]
-        trace.stage_spans = [
-            (int(r["start"]), int(r["end"]), str(r["stage"]),
-             int(r["rtype"]))
-            for r in data["stage_spans"]
-        ]
-        trace.n_instructions = int(meta["n_instructions"])
-        if "request_gaps" in data.files:
-            trace.request_gaps = data["request_gaps"].tolist()
-            trace.slo_instr = float(meta["slo_instr"])
-    lengths = {
-        len(trace.pc), len(trace.ninstr), len(trace.kind),
-        len(trace.taken), len(trace.target), len(trace.tagged),
-    }
-    if len(lengths) != 1:
-        raise ValueError(f"{path}: corrupt trace (ragged arrays)")
-    return trace
+        gaps = "request_gaps" in data.files
+        fields = {name: data[name].tolist() for name in ARRAY_FIELDS}
+        fields.update(
+            requests=[tuple(row) for row in data["requests"].tolist()],
+            stage_spans=[
+                (int(r["start"]), int(r["end"]), str(r["stage"]),
+                 int(r["rtype"]))
+                for r in data["stage_spans"]
+            ],
+            request_gaps=data["request_gaps"].tolist() if gaps else None,
+            slo_instr=float(meta["slo_instr"]) if gaps else None,
+            n_instructions=int(meta["n_instructions"]),
+        )
+    try:
+        return Trace.from_payload(fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

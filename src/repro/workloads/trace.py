@@ -25,6 +25,14 @@ _RET = int(BranchKind.RET)
 _ICALL = int(BranchKind.ICALL)
 _IJUMP = int(BranchKind.IJUMP)
 
+#: The parallel per-block arrays; a valid trace has them all one length.
+ARRAY_FIELDS = ("pc", "ninstr", "kind", "taken", "target", "tagged")
+#: Every field a trace is made of: what serializers persist and restore.
+PAYLOAD_FIELDS = ARRAY_FIELDS + (
+    "requests", "stage_spans", "request_gaps", "slo_instr",
+    "n_instructions",
+)
+
 
 class Trace:
     """Parallel per-basic-block arrays plus workload annotations.
@@ -72,6 +80,29 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.pc)
+
+    # ------------------------------------------------------------------
+    # Serialization
+    # ------------------------------------------------------------------
+    def to_payload(self) -> dict:
+        """The trace's fields as a plain dict (lists, tuples, numbers),
+        shared rather than copied; decode tables are derived state and
+        are left out."""
+        return {name: getattr(self, name) for name in PAYLOAD_FIELDS}
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "Trace":
+        """Rebuild a trace from :meth:`to_payload` output.
+
+        Raises ``KeyError`` for a missing field and ``ValueError`` when
+        the per-block arrays differ in length.
+        """
+        trace = cls()
+        for name in PAYLOAD_FIELDS:
+            setattr(trace, name, payload[name])
+        if len({len(getattr(trace, name)) for name in ARRAY_FIELDS}) != 1:
+            raise ValueError("corrupt trace (ragged arrays)")
+        return trace
 
     # ------------------------------------------------------------------
     # Precomputed decode tables

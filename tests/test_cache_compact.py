@@ -188,20 +188,28 @@ class TestStats:
             cache.put("torn", _payload("torn"))
             corrupt_file(cache.path_for("torn"), TRUNCATE)
             assert cache.get("torn") is None
+            traces = diskcache.get_trace_cache()
+            traces.put("trace", _payload("trace"))
+            traces.put("torn", _payload("torn"))
+            corrupt_file(traces.path_for("torn"), TRUNCATE)
+            assert traces.get("torn") is None
 
             assert main(["cache", "info"]) == 0
             out = capsys.readouterr().out
             assert "legacy" in out and "quarantined" in out
+            assert "traces: 1 entries" in out
 
             assert main(["cache", "compact"]) == 0
             out = capsys.readouterr().out
             assert "migrated 1 legacy" in out
             assert list(cache.legacy_entries()) == []
             assert list(cache.quarantined()) == []
+            assert list(traces.quarantined()) == []
 
             assert main(["cache", "clear"]) == 0
             capsys.readouterr()
             assert len(cache) == 0
+            assert len(traces) == 0
         finally:
             runner.clear_run_cache()
             diskcache.set_cache_dir(previous)

@@ -8,15 +8,20 @@ already on disk.
 """
 
 import hashlib
+import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cpu.stats import SimStats
-from repro.experiments import diskcache
+from repro.experiments import diskcache, runner
+from repro.experiments.journal import grid_fingerprint
 from repro.experiments.runner import (
     cache_key,
     clear_run_cache,
@@ -24,7 +29,10 @@ from repro.experiments.runner import (
     run_baseline,
     run_cache_stats,
     run_prefetcher,
+    trace_key,
 )
+from repro.experiments.sweep import SweepPoint, grid, sweep
+from repro.workloads import cache as workload_cache
 
 WORKLOAD = "mysql_sibench"
 
@@ -241,9 +249,14 @@ class TestDiskCacheLayer:
 
     def test_clear_run_cache_disk(self, cache_dir):
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        # A seed no other test memoizes, so this trace is built and
+        # stored rather than served from the in-process memo.
+        runner.get_trace(WORKLOAD, scale="tiny", seed=13)
         assert len(diskcache.get_cache()) == 1
+        assert len(diskcache.get_trace_cache()) == 1
         clear_run_cache(disk=True)
         assert len(diskcache.get_cache()) == 0
+        assert len(diskcache.get_trace_cache()) == 0
         reset_run_cache_stats()
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         assert run_cache_stats().simulations == 1
@@ -423,3 +436,148 @@ class TestFreshProcessReuse:
             runs.append(proc.stdout.strip().splitlines()[-1])
         assert runs[0] == "SIMULATIONS=2 DISK=0"
         assert runs[1] == "SIMULATIONS=0 DISK=2"
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Names passed to ``build_application``, starting from an empty
+    application and trace memo."""
+    calls = []
+    real = workload_cache.build_application
+
+    def counting(name):
+        calls.append(name)
+        return real(name)
+
+    monkeypatch.setattr(workload_cache, "build_application", counting)
+    workload_cache.clear_caches()
+    yield calls
+    workload_cache.clear_caches()
+
+
+class TestTraceStore:
+    def test_loaded_trace_simulates_like_built(self, cache_dir, builds):
+        built, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        assert builds == [WORKLOAD]
+        s = run_cache_stats()
+        assert (s.trace_hits, s.trace_writes) == (0, 1)
+
+        # Keep only the stored trace: drop the result, its checkpoint
+        # and the in-process memo.
+        clear_run_cache()
+        diskcache.get_cache().clear()
+        diskcache.get_warmup_cache().clear()
+        workload_cache.clear_caches()
+        loaded, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        assert builds == [WORKLOAD]  # the hit built nothing
+        s = run_cache_stats()
+        assert (s.trace_hits, s.trace_writes) == (1, 1)
+        assert loaded.state_dict() == built.state_dict()
+
+    def test_disabled_store_is_never_created(self, cache_dir, monkeypatch):
+        # Seeds no other test memoizes: both traces are really built.
+        runner.get_trace(WORKLOAD, scale="tiny", seed=11, use_cache=False)
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        runner.get_trace(WORKLOAD, scale="tiny", seed=12)
+        assert not (cache_dir / "traces").exists()
+        assert run_cache_stats().trace_writes == 0
+
+    def test_bitflipped_trace_quarantined_and_rebuilt(self, cache_dir,
+                                                      builds):
+        before, _ = run_baseline(WORKLOAD, scale="tiny")
+        path = diskcache.get_trace_cache().path_for(
+            trace_key(WORKLOAD, "tiny", 1))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        # Forget the result so the point needs its trace again.
+        clear_run_cache()
+        diskcache.get_cache().path_for(
+            cache_key(WORKLOAD, None, scale="tiny")).unlink()
+        workload_cache.clear_caches()
+        reset_run_cache_stats()
+
+        after, _ = run_baseline(WORKLOAD, scale="tiny")
+        s = run_cache_stats()
+        assert s.cache_corrupt == 1
+        assert (s.trace_hits, s.trace_writes) == (0, 1)
+        assert builds == [WORKLOAD, WORKLOAD]
+        assert list(diskcache.get_trace_cache().quarantined())
+        assert after.state_dict() == before.state_dict()
+
+
+class TestTraceFirstDispatch:
+    def test_workers_start_on_different_traces(self, cache_dir):
+        points = grid(["mysql_sibench", "msvc_social"], ["eip"],
+                      scale="tiny")
+        events = []
+        report = sweep(points, jobs=2, progress=None, events=events.append)
+        scheduled = [e["label"] for e in events
+                     if e["event"] == "scheduled"]
+        assert [label.split("/")[0] for label in scheduled[:2]] == \
+            ["mysql_sibench", "msvc_social"]
+        assert [r.point for r in report.results] == points
+
+
+_KEYS_SCRIPT = """
+import json
+import repro
+from repro.experiments import runner
+from repro.experiments.journal import grid_fingerprint
+from repro.experiments.sweep import SweepPoint
+
+point = SweepPoint("mysql_sibench", "eip", scale="tiny")
+print(json.dumps({
+    "package": repro.__file__,
+    "code": runner.code_hash(),
+    "result": point.key(),
+    "warmup": runner._warmup_key("mysql_sibench", "tiny", "eip", None,
+                                 None, point.warmup, 1),
+    "trace": runner.trace_key("mysql_sibench", "tiny", 1),
+    "grid": grid_fingerprint([point]),
+    "served": runner.peek_cached(point.key()) is not None,
+}))
+"""
+
+
+class TestStaleCode:
+    def test_source_edit_changes_every_key(self, cache_dir, tmp_path):
+        """Editing a timing constant outside MachineConfig invalidates
+        the result, checkpoint and trace keys and the run journal's grid
+        identity, so results of the old code are never served."""
+        package = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "tree" / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert runner.source_digest(copy) == runner.code_hash()
+        tlb = copy / "memory" / "tlb.py"
+        source = tlb.read_text()
+        assert "DEFAULT_WALK_LATENCY = 40\n" in source
+        tlb.write_text(source.replace("DEFAULT_WALK_LATENCY = 40\n",
+                                      "DEFAULT_WALK_LATENCY = 41\n"))
+
+        point = SweepPoint(WORKLOAD, "eip", scale="tiny")
+        old = {
+            "code": runner.code_hash(),
+            "result": point.key(),
+            "warmup": runner._warmup_key(WORKLOAD, "tiny", "eip", None,
+                                         None, point.warmup, 1),
+            "trace": trace_key(WORKLOAD, "tiny", 1),
+            "grid": grid_fingerprint([point]),
+        }
+        runner._disk_store(point.key(), _make_stats(), None)
+        clear_run_cache()
+        assert runner.peek_cached(point.key()) is not None
+
+        env = dict(os.environ, PYTHONPATH=str(copy.parent),
+                   REPRO_CACHE_DIR=str(cache_dir))
+        proc = subprocess.run([sys.executable, "-c", _KEYS_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        new = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert Path(new.pop("package")).resolve().parent == copy
+        assert new.pop("served") is False
+        assert new["code"] == runner.source_digest(copy)
+        for name, value in old.items():
+            assert new[name] != value, name

@@ -189,14 +189,33 @@ class TestTraceCache:
         b = get_trace("mysql_sibench", scale="tiny")
         assert a is b
 
-    def test_trace_cache_bound_env(self, monkeypatch):
+    def test_trace_memo_bound_and_store_order(self):
+        """The memo keeps the newest TRACE_MEMO_SIZE traces; a miss asks
+        the store before building, and only a built trace is saved."""
         from repro.workloads import cache
+        from repro.workloads.trace import Trace
 
-        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        assert cache._trace_cache_max() == 6
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "16")
-        assert cache._trace_cache_max() == 16
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "junk")
-        assert cache._trace_cache_max() == 6
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-        assert cache._trace_cache_max() == 1
+        class Store:
+            def __init__(self):
+                self.loads, self.saves = [], []
+
+            def load(self, name, scale, seed):
+                self.loads.append(name)
+                return Trace()
+
+            def save(self, name, scale, seed, trace):
+                self.saves.append(name)
+
+        store = Store()
+        cache.clear_caches()
+        try:
+            names = [f"stub{i}" for i in range(cache.TRACE_MEMO_SIZE + 1)]
+            traces = [cache.get_trace(n, "tiny", store=store) for n in names]
+            assert store.loads == names and store.saves == []
+            assert cache.get_trace(names[-1], "tiny", store=store) \
+                is traces[-1]
+            assert store.loads == names  # memo hit
+            cache.get_trace(names[0], "tiny", store=store)  # evicted
+            assert store.loads == names + names[:1]
+        finally:
+            cache.clear_caches()
