@@ -2,13 +2,15 @@
 
 The commit loop walks the basic-block trace once.  Per committed block:
 
-1. the FDIP front end advances its runahead pointer (issuing FTQ
-   prefetches, evaluating branch predictions in trace order);
+1. the FDIP front end advances its runahead pointer, issuing FTQ
+   prefetches (the branch predictions were made when the trace was
+   bound, see :mod:`repro.frontend.fdip`);
 2. the I-TLB translates the block's page (stalling on a walk);
 3. the demand fetch of the block's cache line(s) goes to the hierarchy
    (stalling for residual fill latency on a miss);
 4. cycles advance by ``ninstr / commit_width`` plus any branch penalty
-   charged when a mispredicted/BTB-missing terminator commits;
+   charged when a mispredicted/BTB-missing terminator commits (read
+   from the front end's per-block penalty table);
 5. the attached instruction prefetcher observes the commit.
 
 The model is deterministic and warmup-aware: statistics are reset at the
@@ -250,9 +252,10 @@ class FrontEndSimulator(SimComponent):
     def _run_range(self, start: int, end: int) -> None:
         # The commit loop.  Everything it touches per iteration is a
         # local: bound methods, the trace's precomputed decode tables,
-        # and scalar accumulators that are flushed into SimStats once at
-        # the end of the range (the probe bus only samples at range
-        # boundaries, so chunk-local accumulation is observably
+        # the front end's penalty table, and scalar accumulators that
+        # are flushed into SimStats once at the end of the range, with
+        # the front end's branch counters (the probe bus only samples at
+        # range boundaries, so chunk-local accumulation is observably
         # equivalent).  ``self.now`` is still published before each
         # prefetcher ``on_commit`` — EIP's ``on_miss`` reads ``sim.now``
         # and must keep seeing the previous block's commit time.
@@ -275,8 +278,7 @@ class FrontEndSimulator(SimComponent):
         demand_fetch = hierarchy.demand_fetch
         advance = frontend.advance
         translate = itlb.translate
-        penalties = frontend.penalties
-        penalties_pop = penalties.pop
+        pen_arr = frontend.pen
         on_commit = prefetcher.on_commit if prefetcher is not None else None
         on_miss = prefetcher.on_miss if prefetcher is not None else None
         on_mispredict = (
@@ -324,17 +326,16 @@ class FrontEndSimulator(SimComponent):
             else:
                 last_block = b0
             now += nin * inv_width
-            if penalties:
-                pen = penalties_pop(i, 0)
-                if pen:
-                    if pen == pen_mispredict:
-                        now += mispredict_penalty
-                        stall_mispredict += mispredict_penalty
-                        if on_mispredict is not None:
-                            on_mispredict(i)
-                    elif pen == pen_btb_miss:
-                        now += btb_miss_penalty
-                        stall_mispredict += btb_miss_penalty
+            pen = pen_arr[i]
+            if pen:
+                if pen == pen_mispredict:
+                    now += mispredict_penalty
+                    stall_mispredict += mispredict_penalty
+                    if on_mispredict is not None:
+                        on_mispredict(i)
+                elif pen == pen_btb_miss:
+                    now += btb_miss_penalty
+                    stall_mispredict += btb_miss_penalty
             instructions += nin
             if on_commit is not None:
                 self.now = now
@@ -345,6 +346,7 @@ class FrontEndSimulator(SimComponent):
         stats.stall_itlb += stall_itlb
         stats.stall_fetch += stall_fetch
         stats.stall_mispredict += stall_mispredict
+        frontend.count_branches()
         self.now = now
         # Derived from next_index; load_state_dict recomputes it.
         self.commit_index = (  # lint: ephemeral

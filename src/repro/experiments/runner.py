@@ -195,9 +195,15 @@ class RunCacheStats:
     #: re-running the warmup window.
     warmup_hits: int = 0
     warmup_writes: int = 0
+    #: Warmup checkpoints that loaded from disk but that ``resume``
+    #: rejected (a stale or mismatched machine layout); the point
+    #: re-ran its warmup cold.
+    warmup_fallbacks: int = 0
     #: On-disk entries (results or warmup checkpoints) that failed
     #: checksum/decode validation and were quarantined (see
-    #: docs/RESILIENCE.md); each one degrades to a miss, never a crash.
+    #: docs/RESILIENCE.md), plus result payloads that passed those
+    #: checks but would not decode; each one degrades to a miss, never
+    #: a crash.
     cache_corrupt: int = 0
     #: Cache writes refused by the disk-space guard (the volume was
     #: nearly full); the result still flows, it just is not persisted.
@@ -268,7 +274,11 @@ def _disk_load(key: str) -> Optional[Tuple[SimStats, Optional[dict]]]:
         if miss_map is not None:
             miss_map = dict(miss_map)
     except Exception:
-        return None  # stale or malformed payload: re-simulate
+        # The key carries the code hash, so a payload stored under it
+        # that will not decode is malformed, not stale: count it and
+        # re-simulate.
+        _STATS.cache_corrupt += 1
+        return None
     return stats, miss_map
 
 
@@ -456,6 +466,7 @@ def run_prefetcher(
                 # have corrupted the machine, so fall back to a cold
                 # warmup on a fresh simulator.  A checkpoint is an
                 # accelerator; it must never change (or abort) results.
+                _STATS.warmup_fallbacks += 1
                 sim = build_sim()
     if not resumed:
         sim.warmup(trace, warmup_fraction=warmup)

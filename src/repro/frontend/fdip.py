@@ -13,6 +13,23 @@ prediction unit can follow it:
   bubble when the branch resolves;
 * returns come from the RAS; indirect targets from ITTAGE.
 
+The branch-prediction unit reads only the trace: never timing, the
+memory hierarchy or the prefetcher.  And the runahead evaluates every
+block exactly once, in trace order.  So :meth:`FDIPFrontEnd.bind` runs
+the unit once over the whole trace (TAGE through its batch
+:meth:`~repro.frontend.tage.TagePredictor.predict_all`) and records one
+*event byte* per block.  Its bits say which SimStats branch counters the
+block bumps (:data:`BRANCH_COUNTERS`), and so what penalty it costs.
+:meth:`FDIPFrontEnd.advance` then only moves the runahead, stopping at
+the next penalty block, and issues prefetches.  The commit loop reads
+each block's penalty from :attr:`FDIPFrontEnd.pen`.  The branch
+counters are charged, for the blocks the runahead has passed, by
+:meth:`FDIPFrontEnd.count_branches`, which the simulator calls where it
+flushes its other accumulators: at the end of every commit-loop range.
+
+The unit's tables are a function of the trace, so they are not part of
+the front end's snapshot; the runahead position is.
+
 Wrong-path fetch is not modelled (see DESIGN.md §5); the first-order
 FDIP behaviours — limited runahead under BTB pressure and flush-on-
 mispredict — are.
@@ -20,8 +37,10 @@ mispredict — are.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Optional
+from itertools import compress, count
+from typing import Dict, List, Optional
 
 from repro.cpu.component import SimComponent, check_state_fields
 from repro.frontend.btb import BranchTargetBuffer
@@ -43,6 +62,26 @@ _RET = int(BranchKind.RET)
 _ICALL = int(BranchKind.ICALL)
 _IJUMP = int(BranchKind.IJUMP)
 
+#: SimStats branch counters; counter k is bit k of a block's event byte.
+BRANCH_COUNTERS = ("cond_branches", "cond_mispredicts", "btb_lookups",
+                   "btb_misses", "returns", "ras_mispredicts",
+                   "indirect_branches", "indirect_mispredicts")
+(_EV_COND, _EV_COND_MISS, _EV_BTB, _EV_BTB_MISS, _EV_RET, _EV_RET_MISS,
+ _EV_IND, _EV_IND_MISS) = (1 << k for k in range(len(BRANCH_COUNTERS)))
+_EV_MISPREDICT = _EV_COND_MISS | _EV_RET_MISS | _EV_IND_MISS
+#: Event byte -> penalty kind, as a ``bytes.translate`` table.
+_PENALTY_OF = bytes(
+    PEN_MISPREDICT if e & _EV_MISPREDICT
+    else PEN_BTB_MISS if e & _EV_BTB_MISS else PEN_NONE
+    for e in range(256))
+#: Every event byte the pass writes, with the counters it bumps.
+_EVENTS = tuple(
+    (e, tuple(k for k in range(len(BRANCH_COUNTERS)) if e >> k & 1))
+    for e in (_EV_COND, _EV_COND | _EV_COND_MISS, _EV_COND | _EV_BTB,
+              _EV_COND | _EV_BTB | _EV_BTB_MISS, _EV_BTB,
+              _EV_BTB | _EV_BTB_MISS, _EV_RET, _EV_RET | _EV_RET_MISS,
+              _EV_IND, _EV_IND | _EV_IND_MISS))
+
 
 @dataclass
 class FrontEndParams:
@@ -62,49 +101,54 @@ class FrontEndParams:
 class FDIPFrontEnd(SimComponent):
     """Decoupled front-end model bound to one trace.
 
-    ``penalties`` is the public pending-penalty map (trace index →
-    penalty kind): the simulator's commit loop consumes it via
-    :meth:`penalty_at` (or reads the dict directly in its hot loop).
+    ``pen`` holds every block's penalty kind (trace index → ``PEN_*``),
+    computed by :meth:`bind`.  The simulator's commit loop reads it
+    directly: the runahead always passes a block before the block
+    commits.  :meth:`penalty_at` is the checked accessor, which reports
+    ``PEN_NONE`` for blocks the runahead has not reached.
     """
 
     def __init__(self, params: FrontEndParams, stats):
         self.params = params
         self.stats = stats
+        # The branch-prediction unit.  bind() runs it over the whole
+        # trace from power-on state, so its tables are a function of the
+        # trace and stay out of snapshots.
+        # lint: ephemeral
         self.btb = BranchTargetBuffer(params.btb_entries, params.btb_assoc)
-        self.tage = TagePredictor()
-        self.ittage = ITTagePredictor()
-        self.ras = ReturnAddressStack(params.ras_depth)
+        self.tage = TagePredictor()  # lint: ephemeral
+        self.ittage = ITTagePredictor()  # lint: ephemeral
+        self.ras = ReturnAddressStack(params.ras_depth)  # lint: ephemeral
         self.hierarchy = None
-        self.penalties: Dict[int, int] = {}
         self._ptr = 0          # next trace index the runahead will visit
         self._blocked_at = -1  # runahead waits until commit reaches this
-        # Bound trace arrays (incl. the precomputed decode tables) and
-        # bind-time constants: rebuilt wholesale by bind(), so resume
-        # correctness never depends on snapshotting them.
-        self._pc = self._nin = self._kind = self._taken = self._tgt = None  # lint: ephemeral
-        self._b0 = self._b1 = self._term = None  # lint: ephemeral
+        self._counted = 0      # blocks below this are in the stats counters
+        # What bind() derives from the trace: the prediction pass's
+        # per-block event bytes and penalty kinds, the penalty blocks in
+        # order (then the trace length), the next of them at or after
+        # the runahead pointer, the bound decode tables and bind-time
+        # constants.  Rebuilt wholesale by bind(), so resume correctness
+        # never depends on snapshotting them.
+        self._ev = self.pen = b""  # lint: ephemeral
+        self._stops: List[int] = []  # lint: ephemeral
+        self._stop = 0  # lint: ephemeral
+        self._b0 = self._b1 = self._page = None  # lint: ephemeral
         self._n = 0  # lint: ephemeral
         self._ftq = params.ftq_entries  # lint: ephemeral
         self._issue = False  # lint: ephemeral
-        self._page = None  # lint: ephemeral
         self._tlb_pf = None  # lint: ephemeral
 
     def bind(self, trace, hierarchy, itlb=None,
              itlb_prefetch: bool = False) -> None:
-        """Attach the front end to a trace and the memory hierarchy.
+        """Attach the front end to a trace and the memory hierarchy, and
+        run the branch-prediction unit over the trace.
 
         With ``itlb_prefetch`` the runahead also probes the I-TLB for
         each enqueued region's page (non-stalling install; see
         :meth:`repro.memory.tlb.InstructionTLB.prefetch`).
         """
-        self._pc = trace.pc
-        self._nin = trace.ninstr
-        self._kind = trace.kind
-        self._taken = trace.taken
-        self._tgt = trace.target
         self._b0 = trace.block0
         self._b1 = trace.block1
-        self._term = trace.term
         self._page = trace.page
         self._n = len(trace)
         self.hierarchy = hierarchy
@@ -114,13 +158,75 @@ class FDIPFrontEnd(SimComponent):
                         if itlb_prefetch and itlb is not None else None)
         self._ptr = 0
         self._blocked_at = -1
-        self.penalties.clear()
+        self._counted = 0
+        self._predict(trace)
+        self._stop = self._stops[0]
+
+    def _predict(self, trace) -> None:
+        """Run the branch-prediction unit over every block's terminator,
+        in trace order, from power-on state."""
+        for unit in (self.btb, self.tage, self.ittage, self.ras):
+            unit.reset()
+        kind_arr = trace.kind
+        taken_arr = trace.taken
+        term_arr = trace.term
+        tgt_arr = trace.target
+        is_cond = [k == _COND for k in kind_arr]
+        correct = self.tage.predict_all(list(compress(term_arr, is_cond)),
+                                        list(compress(taken_arr, is_cond)))
+        btb_lookup = self.btb.lookup
+        btb_update = self.btb.update
+        ras_push = self.ras.push
+        ras_pop = self.ras.pop
+        ittage = self.ittage.predict_and_update
+        ev = bytearray(len(trace))
+        stops = []
+        c = 0
+        for i, kind, term, target, taken in zip(count(), kind_arr, term_arr,
+                                                tgt_arr, taken_arr):
+            if kind == _COND:
+                if not correct[c]:
+                    e = _EV_COND | _EV_COND_MISS
+                elif taken:
+                    known = btb_lookup(term)
+                    btb_update(term, target)
+                    e = _EV_COND | _EV_BTB
+                    if known != target:
+                        e |= _EV_BTB_MISS
+                else:
+                    e = _EV_COND
+                c += 1
+            elif not kind:
+                continue
+            elif kind == _JUMP or kind == _CALL:
+                if kind == _CALL:
+                    ras_push(term + 4)
+                known = btb_lookup(term)
+                btb_update(term, target)
+                e = _EV_BTB if known == target else _EV_BTB | _EV_BTB_MISS
+            elif kind == _RET:
+                e = (_EV_RET if ras_pop() == target
+                     else _EV_RET | _EV_RET_MISS)
+            elif kind == _ICALL or kind == _IJUMP:
+                if kind == _ICALL:
+                    ras_push(term + 4)
+                e = (_EV_IND if ittage(term, target)
+                     else _EV_IND | _EV_IND_MISS)
+            else:
+                raise ValueError(
+                    f"unknown branch kind {kind} at trace index {i}")
+            ev[i] = e
+            if e & (_EV_MISPREDICT | _EV_BTB_MISS):
+                stops.append(i)
+        stops.append(len(trace))
+        self._ev = ev
+        self.pen = ev.translate(_PENALTY_OF)
+        self._stops = stops
 
     def penalty_at(self, i: int) -> int:
-        """Penalty kind charged when block ``i`` commits (consumed)."""
-        if self.penalties:
-            return self.penalties.pop(i, PEN_NONE)
-        return PEN_NONE
+        """Penalty kind charged when block ``i`` commits (``PEN_NONE``
+        until the runahead has evaluated it)."""
+        return self.pen[i] if i < self._ptr else PEN_NONE
 
     def advance(self, commit_i: int, now: float) -> None:
         """Advance the runahead pointer given the commit position."""
@@ -135,21 +241,17 @@ class FDIPFrontEnd(SimComponent):
         ptr = self._ptr
         if ptr > limit:
             return
-        b0_arr = self._b0
-        b1_arr = self._b1
-        page_arr = self._page
-        kind_arr = self._kind
-        issue = self._issue
-        hier = self.hierarchy
-        prefetch = hier.prefetch if issue else None
-        tlb_pf = self._tlb_pf
-        evaluate = self._evaluate
-        origin_fdip = ORIGIN_FDIP
-        pen_none = PEN_NONE
-        # lint: hot-begin
-        while ptr <= limit:
-            i = ptr
-            if issue and i > commit_i:
+        stop = self._stop
+        end = stop if stop <= limit else limit
+        if self._issue:
+            b0_arr = self._b0
+            b1_arr = self._b1
+            page_arr = self._page
+            prefetch = self.hierarchy.prefetch
+            tlb_pf = self._tlb_pf
+            origin_fdip = ORIGIN_FDIP
+            # lint: hot-begin
+            for i in range(ptr if ptr > commit_i else commit_i + 1, end + 1):
                 b0 = b0_arr[i]
                 b1 = b1_arr[i]
                 prefetch(b0, now, origin_fdip, issue_index=commit_i)
@@ -157,51 +259,62 @@ class FDIPFrontEnd(SimComponent):
                     prefetch(b1, now, origin_fdip, issue_index=commit_i)
                 if tlb_pf is not None:
                     tlb_pf(page_arr[i], origin_fdip)
-            ptr = i + 1
-            # Non-branch blocks (the common case) have no terminator to
-            # predict and can never stall the runahead.
-            if kind_arr[i] and (outcome := evaluate(i)) != pen_none:
-                self.penalties[i] = outcome
-                self._blocked_at = i
-                break
-        # lint: hot-end
-        self._ptr = ptr
+            # lint: hot-end
+        self._ptr = end + 1
+        if end == stop:
+            # The unit cannot follow this block's terminator: wait for
+            # it to commit.
+            self._blocked_at = stop
+            self._stop = self._stops[bisect_right(self._stops, stop)]
+
+    def count_branches(self) -> None:
+        """Add the branch events of the blocks the runahead evaluated
+        since the last call to the SimStats counters.  Until then the
+        counters lag the runahead; a caller driving :meth:`advance`
+        directly calls this before reading them."""
+        lo = self._counted
+        hi = self._ptr
+        if hi <= lo:
+            return
+        self._counted = hi
+        totals = [0] * len(BRANCH_COUNTERS)
+        ev = self._ev
+        for event, counters in _EVENTS:
+            hits = ev.count(event, lo, hi)
+            if hits:
+                for k in counters:
+                    totals[k] += hits
+        stats = self.stats
+        for name, total in zip(BRANCH_COUNTERS, totals):
+            if total:
+                setattr(stats, name, getattr(stats, name) + total)
 
     # ------------------------------------------------------------------
     # SimComponent protocol
     # ------------------------------------------------------------------
-    _STATE_FIELDS = ("btb", "tage", "ittage", "ras", "penalties", "ptr",
-                     "blocked_at")
+    _STATE_FIELDS = ("ptr", "blocked_at", "counted")
 
     def reset(self) -> None:
-        self.btb.reset()
-        self.tage.reset()
-        self.ittage.reset()
-        self.ras.reset()
-        self.penalties.clear()
+        for unit in (self.btb, self.tage, self.ittage, self.ras):
+            unit.reset()
         self._ptr = 0
         self._blocked_at = -1
+        self._counted = 0
 
     def state_dict(self) -> Dict[str, object]:
         return {
-            "btb": self.btb.state_dict(),
-            "tage": self.tage.state_dict(),
-            "ittage": self.ittage.state_dict(),
-            "ras": self.ras.state_dict(),
-            "penalties": dict(self.penalties),
             "ptr": self._ptr,
             "blocked_at": self._blocked_at,
+            "counted": self._counted,
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         check_state_fields(self, state, self._STATE_FIELDS)
-        self.btb.load_state_dict(state["btb"])
-        self.tage.load_state_dict(state["tage"])
-        self.ittage.load_state_dict(state["ittage"])
-        self.ras.load_state_dict(state["ras"])
-        self.penalties = dict(state["penalties"])
         self._ptr = state["ptr"]
         self._blocked_at = state["blocked_at"]
+        self._counted = state["counted"]
+        stops = self._stops
+        self._stop = stops[bisect_left(stops, self._ptr)] if stops else 0
 
     def stats_snapshot(self) -> Dict[str, float]:
         out = {"runahead": float(self._ptr)}
@@ -210,55 +323,3 @@ class FDIPFrontEnd(SimComponent):
             for key, value in unit.stats_snapshot().items():
                 out[f"{name}.{key}"] = value
         return out
-
-    # ------------------------------------------------------------------
-    def _evaluate(self, i: int) -> int:
-        """Run the branch-prediction unit over block ``i``'s terminator."""
-        kind = self._kind[i]
-        if kind == 0:  # BranchKind.NONE
-            return PEN_NONE
-        stats = self.stats
-        term = self._term[i]
-        target = self._tgt[i]
-        if kind == _COND:
-            taken = self._taken[i] != 0
-            stats.cond_branches += 1
-            correct = self.tage.predict_and_update(term, taken)
-            if not correct:
-                stats.cond_mispredicts += 1
-                return PEN_MISPREDICT
-            if taken:
-                stats.btb_lookups += 1
-                known = self.btb.lookup(term)
-                self.btb.update(term, target)
-                if known != target:
-                    stats.btb_misses += 1
-                    return PEN_BTB_MISS
-            return PEN_NONE
-        if kind == _JUMP or kind == _CALL:
-            if kind == _CALL:
-                self.ras.push(term + 4)
-            stats.btb_lookups += 1
-            known = self.btb.lookup(term)
-            self.btb.update(term, target)
-            if known != target:
-                stats.btb_misses += 1
-                return PEN_BTB_MISS
-            return PEN_NONE
-        if kind == _RET:
-            stats.returns += 1
-            predicted = self.ras.pop()
-            if predicted != target:
-                stats.ras_mispredicts += 1
-                return PEN_MISPREDICT
-            return PEN_NONE
-        if kind == _ICALL or kind == _IJUMP:
-            if kind == _ICALL:
-                self.ras.push(term + 4)
-            stats.indirect_branches += 1
-            correct = self.ittage.predict_and_update(term, target)
-            if not correct:
-                stats.indirect_mispredicts += 1
-                return PEN_MISPREDICT
-            return PEN_NONE
-        raise ValueError(f"unknown branch kind {kind} at trace index {i}")

@@ -22,8 +22,8 @@ attribute access (``self.__dict__`` / ``vars(self)`` /
 resolved through the class hierarchy across files, so a prefetcher that
 inherits ``InstructionPrefetcher.state_dict`` is judged against it.
 
-Derived state that is provably rebuilt (TAGE folded-history registers,
-bound decode tables) is waived with ``# lint: ephemeral`` on — or
+Derived state that is provably rebuilt (FDIP's trace-derived branch
+prediction unit, bound decode tables) is waived with ``# lint: ephemeral`` on — or
 directly above — any of its assignment sites.
 
 The per-file output is a pure class index, so results cache cleanly;
@@ -152,8 +152,7 @@ def _covered(attr: str, proto: Optional[dict],
              method_map: Dict[str, dict]) -> bool:
     """Coverage closure: a protocol method covers an attribute directly
     or through any ``self.helper()`` it (transitively) calls — e.g.
-    ``reset`` delegating to ``clear``, or ``load_state_dict`` rebuilding
-    folds via ``_rebuild_folds``."""
+    ``reset`` delegating to ``clear``."""
     if proto is None:
         return False
     stripped = attr.lstrip("_")

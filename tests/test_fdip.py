@@ -69,6 +69,7 @@ class TestBranchHandling:
         trace = self._cond_trace(taken=False)
         fdip, hier, stats = make_fdip(trace)
         fdip.advance(0, 0.0)
+        fdip.count_branches()
         assert stats.btb_lookups == 0
 
     def test_blocked_until_commit_then_resumes(self):
@@ -98,6 +99,7 @@ class TestBranchHandling:
         fdip, hier, stats = make_fdip(trace)
         for i in range(len(trace)):
             fdip.advance(i, float(i))
+        fdip.count_branches()
         assert stats.returns == 1
         assert stats.ras_mispredicts == 0
 
@@ -108,6 +110,7 @@ class TestBranchHandling:
         trace = asm.build()
         fdip, hier, stats = make_fdip(trace)
         fdip.advance(0, 0.0)
+        fdip.count_branches()
         assert stats.ras_mispredicts == 1
 
     def test_warm_btb_no_penalty(self):
@@ -136,6 +139,7 @@ class TestBranchHandling:
         fdip, hier, stats = make_fdip(trace)
         for i in range(len(trace)):
             fdip.advance(i, float(i))
+        fdip.count_branches()
         assert stats.indirect_branches == 1
 
     def test_infinite_btb_param(self):

@@ -154,45 +154,25 @@ class TestTage:
         with pytest.raises(ValueError):
             TagePredictor(tables=[(1000, 8, 8)])
 
-    def test_folded_registers_match_reference_fold(self):
-        # The incrementally maintained folded registers must equal
-        # _fold of the current GHR at every step (the hot-path hash
-        # optimization's correctness invariant).
-        import random
-        rng = random.Random(7)
-        tage = TagePredictor()
-        for step in range(5000):
-            tage.predict_and_update(rng.randrange(0, 1 << 20) * 4,
-                                    rng.random() < 0.6)
-            if step % 250 == 0:
-                for t, (size, hist, tag_bits) in enumerate(tage.tables):
-                    log_size = size.bit_length() - 1
-                    assert tage._f_idx[t] == tage._fold(
-                        tage.ghr, hist, log_size)
-                    assert tage._f_tag[t] == tage._fold(
-                        tage.ghr, hist, tag_bits)
-                    assert tage._f_tag2[t] == tage._fold(
-                        tage.ghr, hist, tag_bits - 1)
-
     def test_hot_path_hash_matches_index_tag_reference(self):
-        # The inlined index/tag computation in predict_and_update must
-        # reproduce the reference _index_tag hash.
+        # The lane-parallel chunk hashes predict_all uses must reproduce
+        # the reference _index_tag under the GHR each branch will see.
         import random
         rng = random.Random(11)
         tage = TagePredictor()
-        for _ in range(2000):
-            pc = rng.randrange(0, 1 << 24) * 4
-            pc_h = pc >> 2
+        for _ in range(300):  # a warm GHR going into the chunk
+            tage.predict_and_update(rng.randrange(0, 1 << 24) * 4,
+                                    rng.random() < 0.5)
+        pcs = [rng.randrange(0, 1 << 40) * 4 for _ in range(700)]
+        taken = bytes(rng.random() < 0.5 for _ in pcs)
+        idx_rows, tag_rows = tage._chunk_hashes(pcs, taken)
+        for j, pc in enumerate(pcs):
             for t in range(len(tage.tables)):
-                size_mask, log_size, tag_mask = tage._geom[t]
-                idx = (pc_h ^ (pc_h >> log_size)
-                       ^ tage._f_idx[t]) & size_mask
-                tg = (pc_h ^ tage._f_tag[t]
-                      ^ (tage._f_tag2[t] << 1)) & tag_mask
-                assert (idx, tg) == tage._index_tag(pc, t)
-            tage.predict_and_update(pc, rng.random() < 0.5)
+                assert (idx_rows[t][j], tag_rows[t][j]) == \
+                    tage._index_tag(pc, t)
+            tage.ghr = ((tage.ghr << 1) | taken[j]) & ((1 << 64) - 1)
 
-    def test_load_state_dict_rebuilds_folds(self):
+    def test_load_state_dict_restores_behaviour(self):
         import random
         rng = random.Random(13)
         a = TagePredictor()
@@ -201,15 +181,19 @@ class TestTage:
                                  rng.random() < 0.5)
         b = TagePredictor()
         b.load_state_dict(a.state_dict())
-        assert b._f_idx == a._f_idx
-        assert b._f_tag == a._f_tag
-        assert b._f_tag2 == a._f_tag2
+        assert b.state_dict() == a.state_dict()
         # And the restored predictor behaves identically.
         for _ in range(200):
             pc = rng.randrange(0, 1 << 16) * 4
             taken = rng.random() < 0.5
             assert (a.predict_and_update(pc, taken)
                     == b.predict_and_update(pc, taken))
+
+    def test_rejects_hash_wider_than_a_lane(self):
+        with pytest.raises(ValueError):
+            TagePredictor(tables=[(1 << 17, 8, 9)])
+        with pytest.raises(ValueError):
+            TagePredictor(tables=[(4096, 8, 17)])
 
 
 class TestITTage:

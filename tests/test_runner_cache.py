@@ -240,6 +240,21 @@ class TestDiskCacheLayer:
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         assert run_cache_stats().simulations == 1
 
+    def test_malformed_payload_counted_corrupt(self, cache_dir):
+        # Right schema and key, but stats SimStats cannot rebuild: the
+        # key carries the code hash, so this is malformed, not stale.
+        key = cache_key(WORKLOAD, "eip", scale="tiny")
+        diskcache.get_cache().put(key, {
+            "schema": diskcache.SCHEMA_VERSION, "key": key,
+            "stats": {"not": "a SimStats state"}, "miss_map": None,
+        })
+        reset_run_cache_stats()
+        stats, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        s = run_cache_stats()
+        assert s.simulations == 1 and s.disk_hits == 0
+        assert s.cache_corrupt == 1
+        assert stats.instructions > 0
+
     def test_no_cache_skips_both_layers(self, cache_dir):
         run_prefetcher(WORKLOAD, "eip", scale="tiny", use_cache=False)
         assert len(diskcache.get_cache()) == 0
@@ -356,6 +371,39 @@ class TestWarmupCheckpoint:
         assert list(diskcache.get_warmup_cache().quarantined())
         # The cold run re-persisted a fresh, valid checkpoint.
         assert s.warmup_writes == 1
+
+    def test_old_frontend_layout_checkpoint_falls_back_cold(self, cache_dir):
+        # A checkpoint from before the front end's predictor tables left
+        # the snapshot (they are rebuilt from the trace at bind time),
+        # planted under the current warmup key: resume must reject it,
+        # and the point re-warms cold with identical stats.
+        from repro.frontend.btb import BranchTargetBuffer
+        from repro.frontend.ittage import ITTagePredictor
+        from repro.frontend.ras import ReturnAddressStack
+        from repro.frontend.tage import TagePredictor
+
+        cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        (path,) = diskcache.get_warmup_cache().entries()
+        payload = _read_payload(path)
+        frontend = payload["state"]["components"]["frontend"]
+        payload["state"]["components"]["frontend"] = {
+            "btb": BranchTargetBuffer().state_dict(),
+            "tage": TagePredictor().state_dict(),
+            "ittage": ITTagePredictor().state_dict(),
+            "ras": ReturnAddressStack().state_dict(),
+            "penalties": {},
+            "ptr": frontend["ptr"],
+            "blocked_at": frontend["blocked_at"],
+        }
+        _write_payload(path, payload)
+        clear_run_cache()
+        diskcache.get_cache().clear()
+        reset_run_cache_stats()
+        warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        s = run_cache_stats()
+        assert s.warmup_fallbacks == 1 and s.warmup_hits == 0
+        assert s.simulations == 1
+        assert warm == cold
 
     def test_arbitrary_resume_exception_falls_back_cold(
             self, cache_dir, monkeypatch):
