@@ -16,8 +16,6 @@ Subcommands::
                                      or run journal (--follow to tail)
     repro cache info|compact|clear   on-disk result cache maintenance
     repro probe WORKLOAD             interval IPC/MPKI/accuracy timelines
-    repro bench [NAME...]            performance microbenchmarks
-    repro bench compare BASE NEW     diff two benchmark artifact sets
     repro bundles WORKLOAD           Algorithm 1 report for a workload
     repro characterize WORKLOAD      structural workload profile
     repro trace WORKLOAD -o F.npz    generate + save a trace
@@ -461,52 +459,6 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.experiments import bench
-
-    targets = list(args.targets)
-    if targets and targets[0] == "compare":
-        if len(targets) != 3:
-            print("usage: repro bench compare BASE_DIR NEW_DIR "
-                  "[--max-regression PCT]", file=sys.stderr)
-            return 2
-        try:
-            threshold = bench.parse_regression(args.max_regression)
-        except ValueError as exc:
-            print(f"bad --max-regression: {exc}", file=sys.stderr)
-            return 2
-        try:
-            rows, problems = bench.compare_dirs(targets[1], targets[2],
-                                                threshold)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        print(format_table(
-            ["benchmark", "base_s", "new_s", "delta", "threshold",
-             "status"],
-            rows,
-        ))
-        if problems:
-            print()
-            for message in problems:
-                print(f"FAIL {message}", file=sys.stderr)
-            return 1
-        print(f"\nall benchmarks within {args.max_regression} "
-              "of the baseline")
-        return 0
-    try:
-        bench.run_benchmarks(
-            targets or None, quick=args.quick, repeats=args.repeats,
-            out_dir=args.out, progress=print,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.out:
-        print(f"\nartifacts written to {args.out}/")
-    return 0
-
-
 def cmd_bundles(args) -> int:
     from repro.core.bundles import identify_bundles
     from repro.workloads.cache import get_application
@@ -666,9 +618,8 @@ def cmd_cache(args) -> int:
         for title, store in stores:
             s = store.stats()
             print(f"{title}: {s['entries']} entries, {s['bytes']} bytes, "
-                  f"{s['legacy']} legacy flat, {s['quarantined']} "
-                  f"quarantined, {s['shard_dirs']} shard dir(s) "
-                  f"[{s['root']}]")
+                  f"{s['quarantined']} quarantined, {s['shard_dirs']} "
+                  f"shard dir(s) [{s['root']}]")
         s = cache.stats()
         if s["free_bytes"] is not None:
             floor = s["min_free_bytes"]
@@ -819,10 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/SWEEP_CACHE.md)",
     )
     cache.add_argument("action", choices=("info", "compact", "clear"),
-                       help="info: counters | compact: migrate legacy "
-                            "flat entries, drop stale schemas, purge "
-                            "quarantine, GC empty shard dirs | clear: "
-                            "delete everything")
+                       help="info: counters | compact: re-verify "
+                            "entries, drop stale schemas and flat root "
+                            "files, purge quarantine, GC empty shard "
+                            "dirs | clear: delete everything")
     cache.add_argument("--keep-quarantined", action="store_true",
                        help="compact: keep *.corrupt sidecars instead "
                             "of purging them")
@@ -846,24 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("--itlb-prefetch", action="store_true",
                        help="enable the I-TLB prefetch path")
     _add_scale(probe)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run performance microbenchmarks / compare artifact sets",
-    )
-    bench.add_argument(
-        "targets", nargs="*", metavar="NAME",
-        help="benchmarks to run (default: all), or 'compare BASE NEW'",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="CI preset: tiny scale, fewer repeats")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timing repeats (default: 3 quick, 5 full)")
-    bench.add_argument("--out", default=None, metavar="DIR",
-                       help="write BENCH_<name>.json artifacts here")
-    bench.add_argument("--max-regression", default="15%",
-                       help="compare mode: allowed median slowdown "
-                            "(e.g. '15%%' or '0.15'; default: 15%%)")
 
     bundles = sub.add_parser("bundles", help="Algorithm 1 report")
     bundles.add_argument("workload", choices=ALL_WORKLOAD_NAMES)
@@ -908,7 +841,6 @@ _COMMANDS = {
     "manifest": cmd_manifest,
     "cache": cmd_cache,
     "probe": cmd_probe,
-    "bench": cmd_bench,
     "bundles": cmd_bundles,
     "characterize": cmd_characterize,
     "trace": cmd_trace,

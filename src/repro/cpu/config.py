@@ -18,7 +18,7 @@ from repro.memory.hierarchy import HierarchyParams
 #: CLI ``--warmup`` flags, and the experiment runner).  The paper warms
 #: 100M of 200M instructions; our preheated traces need a little less
 #: than half.  Single source of truth — change it here only (pinned by
-#: tests/test_bench.py).
+#: tests/test_simulator.py).
 DEFAULT_WARMUP = 0.45
 
 

@@ -13,10 +13,11 @@ Layout (see docs/SWEEP_CACHE.md)::
 
 Entries are sharded into 256 two-hex-character subdirectories so a
 10^5-entry store never puts more than a few hundred files in one
-directory.  Stores written before sharding kept every entry flat at
-``<root>/<digest>.pkl``; those **legacy flat entries** are still found
-on read and transparently migrated into their shard directory (and
-:meth:`DiskCache.compact` migrates the stragglers in bulk).
+directory.  Every key carries the simulator's code hash
+(``runner.code_hash()``), so entries written by other code are never
+looked up again (``repro cache clear`` reclaims their space), and
+flat ``<root>/<digest>.pkl`` files left by stores written before
+sharding are never read (``compact()`` drops them).
 
 Each file is a pickled *envelope* wrapping the pickled payload bytes
 with their SHA-256::
@@ -34,10 +35,8 @@ leave a half-written entry under a live name; reads verify the
 checksum, and an unreadable, truncated, or bit-flipped file is
 **quarantined** — moved aside to ``<name>.pkl.corrupt`` and reported
 to the registered corruption listeners — then treated as a plain
-miss.  Corruption is never an exception to the caller.  Pre-envelope
-entries (written before the checksum was introduced) are still served:
-they unpickle to the payload dict directly and the caller's schema/key
-validation covers them.
+miss.  Corruption is never an exception to the caller.  A file that
+is not a checksum envelope is corrupt like any other.
 
 Environment knobs:
 
@@ -153,38 +152,18 @@ class DiskCache:
         digest = key_digest(key)
         return self.root / digest[:2] / f"{digest}.pkl"
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Where ``key`` lived before shard directories: flat under the
-        root.  Only consulted as a read fallback and by :meth:`compact`."""
-        return self.root / f"{key_digest(key)}.pkl"
-
     # -- read ----------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
         """Load the payload for ``key``; None on miss or (after
-        quarantining the file) on corruption.
+        quarantining the file) on corruption."""
+        return self._read(self.path_for(key))[1]
 
-        A miss at the sharded path falls back to the pre-sharding flat
-        location; a valid flat entry is served *and* migrated into its
-        shard directory so the next read is direct.  A corrupt flat
-        entry is quarantined into the shard directory like any other.
-        """
-        path = self.path_for(key)
-        found, payload = self._read(path, quarantine_at=path)
-        if found:
-            return payload
-        legacy = self.legacy_path_for(key)
-        found, payload = self._read(legacy, quarantine_at=path)
-        if found and payload is not None:
-            self._migrate(legacy, path)
-        return payload
-
-    def _read(self, path: Path,
-              quarantine_at: Path) -> "tuple[bool, Optional[dict]]":
+    def _read(self, path: Path) -> "tuple[bool, Optional[dict]]":
         """Load + verify one entry file.
 
         Returns ``(found, payload)``: ``(False, None)`` for a plain
         miss, ``(True, None)`` when the file existed but was corrupt
-        (it has been quarantined beside ``quarantine_at``), and
+        (it has been quarantined beside itself), and
         ``(True, payload)`` on success.
         """
         try:
@@ -195,55 +174,31 @@ class DiskCache:
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, MemoryError, ValueError) as exc:
             return True, self._quarantine(
-                path, f"undecodable entry: {exc!r}", quarantine_at)
-        if not isinstance(envelope, dict):
+                path, f"undecodable entry: {exc!r}")
+        if not isinstance(envelope, dict) or \
+                "sha256" not in envelope or "payload" not in envelope:
             return True, self._quarantine(
-                path, "entry is not a dict", quarantine_at)
-        if "sha256" in envelope and "payload" in envelope:
-            blob = envelope["payload"]
-            if not isinstance(blob, bytes) or \
-                    hashlib.sha256(blob).hexdigest() != envelope["sha256"]:
-                return True, self._quarantine(
-                    path, "checksum mismatch", quarantine_at)
-            try:
-                payload = pickle.loads(blob)
-            except Exception as exc:
-                return True, self._quarantine(
-                    path, f"undecodable payload: {exc!r}", quarantine_at)
-        else:
-            # Pre-checksum entry: the pickle *is* the payload.  The
-            # caller's schema/key validation decides whether to trust
-            # it, exactly as before the envelope existed.
-            payload = envelope
+                path, "entry is not a checksum envelope")
+        blob = envelope["payload"]
+        if not isinstance(blob, bytes) or \
+                hashlib.sha256(blob).hexdigest() != envelope["sha256"]:
+            return True, self._quarantine(path, "checksum mismatch")
+        try:
+            payload = pickle.loads(blob)
+        except Exception as exc:
+            return True, self._quarantine(
+                path, f"undecodable payload: {exc!r}")
         if not isinstance(payload, dict):
-            return True, self._quarantine(
-                path, "payload is not a dict", quarantine_at)
+            return True, self._quarantine(path, "payload is not a dict")
         return True, payload
 
-    def _migrate(self, legacy: Path, path: Path) -> bool:
-        """Move a validated flat entry into its shard directory.  Best
-        effort: on any OS error the flat file keeps serving reads."""
+    def _quarantine(self, path: Path, reason: str) -> None:
+        """Move a bad entry aside to ``<name>.corrupt`` and notify
+        listeners; returns None so callers can
+        ``return self._quarantine(...)`` as a miss."""
+        target: Optional[Path] = path.with_name(
+            path.name + QUARANTINE_SUFFIX)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, path)
-            return True
-        except OSError:
-            return False
-
-    def _quarantine(self, path: Path, reason: str,
-                    quarantine_at: Optional[Path] = None) -> None:
-        """Move a bad entry aside and notify listeners; returns None so
-        callers can ``return self._quarantine(...)`` as a miss.
-
-        The sidecar lands beside ``quarantine_at`` (default: beside the
-        bad file itself) — corrupt legacy flat entries are quarantined
-        into their shard directory so sidecars surface in one place.
-        """
-        sidecar = quarantine_at if quarantine_at is not None else path
-        target: Optional[Path] = sidecar.with_name(
-            sidecar.name + QUARANTINE_SUFFIX)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
             os.replace(path, target)
         except OSError:
             target = None
@@ -334,30 +289,23 @@ class DiskCache:
 
     # -- maintenance ---------------------------------------------------
     def entries(self) -> Iterator[Path]:
-        """All live entry files currently in the store — sharded and
-        legacy flat alike (quarantined ``*.corrupt`` sidecars
-        excluded)."""
-        if not self.root.is_dir():
-            return
-        yield from sorted(self.root.glob("*.pkl"))
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob("*.pkl"))
-
-    def legacy_entries(self) -> Iterator[Path]:
-        """Flat pre-sharding entry files still sitting at the root."""
-        if not self.root.is_dir():
-            return
-        yield from sorted(self.root.glob("*.pkl"))
+        """All live entry files currently in the store (quarantined
+        ``*.corrupt`` sidecars excluded)."""
+        return self._glob("*.pkl")
 
     def quarantined(self) -> Iterator[Path]:
         """All quarantined sidecar files in the store."""
+        return self._glob(f"*{QUARANTINE_SUFFIX}")
+
+    def _glob(self, pattern: str) -> Iterator[Path]:
         if not self.root.is_dir():
             return
-        yield from sorted(self.root.glob(f"*{QUARANTINE_SUFFIX}"))
+        # Files at the root predate sharding and are never read, but
+        # they are listed so that clear() and compact() reclaim them.
+        yield from sorted(self.root.glob(pattern))
         for shard in sorted(self.root.iterdir()):
             if shard.is_dir():
-                yield from sorted(shard.glob(f"*{QUARANTINE_SUFFIX}"))
+                yield from sorted(shard.glob(pattern))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
@@ -385,7 +333,6 @@ class DiskCache:
     def stats(self) -> dict:
         """Summary counters for ``repro cache info``."""
         entries = list(self.entries())
-        legacy = list(self.legacy_entries())
         shards = [d for d in self.root.iterdir()
                   if d.is_dir() and _SHARD_DIR.match(d.name)] \
             if self.root.is_dir() else []
@@ -400,7 +347,6 @@ class DiskCache:
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries
                          if p.is_file()),
-            "legacy": len(legacy),
             "quarantined": sum(1 for _ in self.quarantined()),
             "shard_dirs": len(shards),
             "free_bytes": free,
@@ -410,12 +356,12 @@ class DiskCache:
     def compact(self, purge_quarantined: bool = True) -> "CompactReport":
         """One maintenance pass over the whole store:
 
-        * migrate every legacy flat entry into its shard directory,
-          validating bytes on the way (corrupt ones are quarantined);
-        * re-verify every sharded entry and drop payloads whose
-          ``schema`` no longer matches :data:`SCHEMA_VERSION` — the
-          runner would ignore and lazily overwrite them anyway, this
-          reclaims the bytes eagerly;
+        * re-verify every entry (corrupt ones are quarantined) and
+          drop payloads whose ``schema`` no longer matches
+          :data:`SCHEMA_VERSION` — the runner would ignore and lazily
+          overwrite them anyway, this reclaims the bytes eagerly;
+        * drop flat ``<root>/*.pkl`` files from before sharding, which
+          no lookup reaches;
         * optionally delete quarantined ``*.corrupt`` sidecars
           (``purge_quarantined``, default on);
         * remove shard directories left empty.
@@ -427,31 +373,19 @@ class DiskCache:
         to GC them.
         """
         report = CompactReport()
-        # Legacy flat entries: validate, then migrate or quarantine.
-        for legacy in list(self.legacy_entries()):
-            digest = legacy.stem
-            target = self.root / digest[:2] / legacy.name
-            found, payload = self._read(legacy, quarantine_at=target)
-            if not found:
-                continue  # raced away
-            if payload is None:
-                report.quarantined += 1
-            elif self._migrate(legacy, target):
-                report.migrated += 1
-        # Sharded entries: re-verify bytes, drop stale schemas.
         for path in list(self.entries()):
-            if path.parent == self.root:
-                continue  # an unmigratable flat entry; leave it
-            found, payload = self._read(path, quarantine_at=path)
-            if not found or payload is None:
-                report.quarantined += found
-                continue
-            if payload.get("schema") != SCHEMA_VERSION:
-                try:
-                    path.unlink()
-                    report.stale_dropped += 1
-                except OSError:
-                    pass
+            if path.parent != self.root:  # flat root files: never read
+                found, payload = self._read(path)
+                if not found or payload is None:
+                    report.quarantined += found
+                    continue
+                if payload.get("schema") == SCHEMA_VERSION:
+                    continue
+            try:
+                path.unlink()
+                report.stale_dropped += 1
+            except OSError:
+                pass
         if purge_quarantined:
             for sidecar in list(self.quarantined()):
                 try:
@@ -480,17 +414,15 @@ class DiskCache:
 class CompactReport:
     """What one :meth:`DiskCache.compact` pass did."""
 
-    migrated: int = 0            #: flat entries moved into shard dirs
     quarantined: int = 0         #: corrupt entries moved aside
-    stale_dropped: int = 0       #: entries with an outdated schema
+    stale_dropped: int = 0       #: outdated schema or flat root files
     purged_sidecars: int = 0     #: ``*.corrupt`` sidecars deleted
     empty_dirs_removed: int = 0  #: emptied shard dirs removed
     entries: int = 0             #: live entries after the pass
     bytes: int = 0               #: store size after the pass
 
     def describe(self) -> str:
-        return (f"migrated {self.migrated} legacy, quarantined "
-                f"{self.quarantined}, dropped {self.stale_dropped} "
+        return (f"quarantined {self.quarantined}, dropped {self.stale_dropped} "
                 f"stale, purged {self.purged_sidecars} sidecar(s), "
                 f"removed {self.empty_dirs_removed} empty dir(s); "
                 f"{self.entries} entries, {self.bytes} bytes")

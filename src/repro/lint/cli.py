@@ -2,8 +2,7 @@
 
 Exit status: 0 when no finding reaches the ``--fail-on`` severity
 (default: ``warning``, i.e. any finding fails), 1 otherwise, 2 on a
-usage error such as an unknown rule.  ``--check-baseline`` also fails
-(1) when the committed baseline holds stale entries.
+usage error such as an unknown rule.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Set
 
-from repro.lint.baseline import write_baseline
-from repro.lint.config import find_project_root, load_config
+from repro.lint.config import find_project_root
 from repro.lint.engine import run_lint
 from repro.lint.findings import (
     ERROR,
@@ -25,7 +23,6 @@ from repro.lint.findings import (
     severity_rank,
 )
 from repro.lint.registry import rule_names
-from repro.lint.sarif import format_sarif
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -37,7 +34,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="run only this rule (repeatable); "
                              f"available: {', '.join(rule_names())}")
     parser.add_argument("--format", default="text",
-                        choices=("text", "json", "sarif"),
+                        choices=("text", "json"),
                         help="report format (default: text)")
     parser.add_argument("--output", default=None, metavar="FILE",
                         help="write the report to FILE instead of "
@@ -56,14 +53,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--base-ref", default="HEAD", metavar="REF",
                         help="git ref --changed diffs against "
                              "(default: HEAD)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report baselined findings too")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline file to accept "
-                             "every current finding, then exit 0")
-    parser.add_argument("--check-baseline", action="store_true",
-                        help="additionally fail when the baseline "
-                             "holds stale (already-fixed) entries")
     parser.add_argument("--root", default=None,
                         help="project root (default: nearest ancestor "
                              "with a pyproject.toml)")
@@ -102,23 +91,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
             rules=args.rules,
             use_cache=not args.no_cache,
             changed_only=changed,
-            use_baseline=not getattr(args, "no_baseline", False),
         )
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    if getattr(args, "update_baseline", False):
-        config = load_config(root)
-        count = write_baseline(root / config.baseline_file,
-                               report.findings)
-        print(f"repro lint: baseline updated with {count} entry(ies) "
-              f"in {config.baseline_file}")
-        return 0
-
-    if args.format == "sarif":
-        formatted = format_sarif(report.findings)
-    elif args.format == "json":
+    if args.format == "json":
         formatted = format_json(report.findings, report.files_scanned,
                                 report.cache_hits)
     else:
@@ -131,17 +109,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
                           report.cache_hits))
     else:
         print(formatted)
-    if report.baselined:
-        print(f"({report.baselined} baselined finding(s) suppressed)")
 
     threshold = severity_rank(args.fail_on)
     failed = any(severity_rank(f.severity) >= threshold
                  for f in report.findings)
-    if getattr(args, "check_baseline", False) and report.stale_baseline:
-        print("repro lint: stale baseline entry(ies) — the findings "
-              "they waived no longer exist; run --update-baseline: "
-              + ", ".join(report.stale_baseline), file=sys.stderr)
-        failed = True
     return 1 if failed else 0
 
 

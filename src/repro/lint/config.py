@@ -107,7 +107,6 @@ class LintConfig:
     taxonomy_paths: Tuple[str, ...] = DEFAULT_TAXONOMY_PATHS
     taxonomy_root: str = "ExperimentError"
     ordered_paths: Tuple[str, ...] = DEFAULT_ORDERED_PATHS
-    baseline_file: str = ".repro-lint-baseline.json"
 
     def fingerprint(self) -> str:
         """Hash of everything that invalidates cached file results."""
@@ -135,12 +134,11 @@ _TABLE_KEYS = {
     "taxonomy-paths": "taxonomy_paths",
     "taxonomy-root": "taxonomy_root",
     "ordered-paths": "ordered_paths",
-    "baseline-file": "baseline_file",
 }
 
 #: Keys holding a single string rather than a list of strings.
 _SCALAR_KEYS = frozenset({
-    "cache_file", "baseline_file", "event_schema_table", "taxonomy_root",
+    "cache_file", "event_schema_table", "taxonomy_root",
 })
 
 

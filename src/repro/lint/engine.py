@@ -16,8 +16,7 @@ project index (module, imports, classes, call sites — see
 
 At report time the engine assembles the per-file project indices into a
 :class:`~repro.lint.project.ProjectGraph`, hands it to every rule's
-``report``, applies ``# lint: allow[rule]`` waivers, and finally
-subtracts the committed baseline (``.repro-lint-baseline.json``).
+``report`` and applies ``# lint: allow[rule]`` waivers.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.config import LintConfig, find_project_root, load_config
 from repro.lint.findings import ERROR, Finding, severity_rank
 from repro.lint.project import ProjectGraph, build_file_index
@@ -49,10 +47,6 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     cache_hits: int = 0
-    #: Findings suppressed by the committed baseline file.
-    baselined: int = 0
-    #: Baseline fingerprints that matched nothing this run (stale).
-    stale_baseline: List[str] = field(default_factory=list)
 
     def failed(self, fail_on: str = ERROR) -> bool:
         threshold = severity_rank(fail_on)
@@ -133,7 +127,6 @@ def run_lint(
     rules: Optional[Iterable[str]] = None,
     use_cache: bool = True,
     changed_only: Optional[Set[str]] = None,
-    use_baseline: bool = True,
 ) -> LintReport:
     """Lint ``paths`` (default: the configured ones) and report.
 
@@ -240,19 +233,12 @@ def run_lint(
             findings.append(Finding(**f))
     findings = _apply_allows(findings, summaries)
 
-    baselined = 0
-    stale: List[str] = []
-    if use_baseline:
-        baseline = load_baseline(root / config.baseline_file)
-        findings, baselined, stale = apply_baseline(findings, baseline)
-
     if changed_only is not None:
         visible = set(changed_only) | analyzed
         findings = [f for f in findings if f.path in visible]
     findings.sort(key=Finding.sort_key)
     return LintReport(findings=findings, files_scanned=len(files),
-                      cache_hits=cache_hits, baselined=baselined,
-                      stale_baseline=stale)
+                      cache_hits=cache_hits)
 
 
 _MISSING = object()

@@ -633,6 +633,15 @@ class TestCli:
         assert out[0].startswith("src/repro/mod.py:4:")
         assert out[-1].endswith("in 1 file(s) (0 cached)")
 
+    def test_output_file_keeps_text_summary_on_stdout(self, tmp_path,
+                                                      capsys):
+        project(tmp_path, DIRTY)
+        out_file = tmp_path / "lint.json"
+        lint_main(["--root", str(tmp_path), "--no-cache",
+                   "--format", "json", "--output", str(out_file)])
+        assert len(json.loads(out_file.read_text())["findings"]) == 1
+        assert "file(s)" in capsys.readouterr().out
+
 
 # ======================================================================
 # event-schema
@@ -1057,103 +1066,8 @@ class TestDepAwareCache:
 
 
 # ======================================================================
-# baseline + SARIF + --changed
+# --changed
 # ======================================================================
-class TestBaseline:
-    def test_update_then_suppress(self, tmp_path, capsys):
-        project(tmp_path, DIRTY)
-        root = str(tmp_path)
-        assert lint_main(["--root", root, "--no-cache",
-                          "--update-baseline"]) == 0
-        baseline = json.loads(
-            (tmp_path / ".repro-lint-baseline.json").read_text())
-        assert baseline["version"] == 1
-        assert len(baseline["entries"]) == 1
-        entry = baseline["entries"][0]
-        assert set(entry) >= {"fingerprint", "rule", "path", "message",
-                              "justification"}
-        capsys.readouterr()
-
-        assert lint_main(["--root", root, "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined finding(s) suppressed" in out
-
-    def test_no_baseline_flag_reports_again(self, tmp_path, capsys):
-        project(tmp_path, DIRTY)
-        root = str(tmp_path)
-        lint_main(["--root", root, "--no-cache", "--update-baseline"])
-        assert lint_main(["--root", root, "--no-cache",
-                          "--no-baseline"]) == 1
-
-    def test_stale_baseline_detected(self, tmp_path, capsys):
-        project(tmp_path, DIRTY)
-        root = str(tmp_path)
-        lint_main(["--root", root, "--no-cache", "--update-baseline"])
-        capsys.readouterr()
-        # Fix the violation: the baseline entry now waives nothing.
-        (tmp_path / "src/repro/mod.py").write_text("X = 1\n")
-        assert lint_main(["--root", root, "--no-cache"]) == 0
-        capsys.readouterr()
-        assert lint_main(["--root", root, "--no-cache",
-                          "--check-baseline"]) == 1
-        assert "stale baseline entry" in capsys.readouterr().err
-
-    def test_baseline_is_line_independent(self, tmp_path, capsys):
-        project(tmp_path, DIRTY)
-        root = str(tmp_path)
-        lint_main(["--root", root, "--no-cache", "--update-baseline"])
-        # Shift the violation down two lines: same rule+path+message,
-        # so the waiver must still apply.
-        mod = tmp_path / "src/repro/mod.py"
-        mod.write_text("# pad\n# pad\n" + mod.read_text())
-        capsys.readouterr()
-        assert lint_main(["--root", root, "--no-cache",
-                          "--check-baseline"]) == 0
-
-
-class TestSarif:
-    def test_sarif_validates_against_2_1_0_shape(self, tmp_path,
-                                                 capsys):
-        """Hand-rolled structural validation of the SARIF 2.1.0 log
-        (the schema validator dependency is deliberately absent)."""
-        project(tmp_path, DIRTY)
-        lint_main(["--root", str(tmp_path), "--no-cache",
-                   "--format", "sarif"])
-        log = json.loads(capsys.readouterr().out)
-
-        assert log["version"] == "2.1.0"
-        assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-        assert isinstance(log["runs"], list) and len(log["runs"]) == 1
-        run = log["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rules = driver["rules"]
-        assert all(set(r) >= {"id", "shortDescription"} for r in rules)
-        assert all(isinstance(r["shortDescription"]["text"], str)
-                   for r in rules)
-        ids = [r["id"] for r in rules]
-        assert len(ids) == len(set(ids))  # deduplicated
-
-        assert run["results"], "fixture must produce findings"
-        for result in run["results"]:
-            assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
-            assert result["level"] in ("error", "warning", "note")
-            assert result["message"]["text"]
-            loc = result["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uri"] == "src/repro/mod.py"
-            assert loc["region"]["startLine"] >= 1
-            assert loc["region"]["startColumn"] >= 1
-
-    def test_output_file_keeps_text_summary_on_stdout(self, tmp_path,
-                                                      capsys):
-        project(tmp_path, DIRTY)
-        out_file = tmp_path / "lint.sarif"
-        lint_main(["--root", str(tmp_path), "--no-cache",
-                   "--format", "sarif", "--output", str(out_file)])
-        assert json.loads(out_file.read_text())["version"] == "2.1.0"
-        assert "file(s)" in capsys.readouterr().out
-
-
 class TestChangedOnly:
     def git(self, tmp_path, *args):
         import subprocess

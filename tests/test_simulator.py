@@ -1,8 +1,12 @@
 """Unit/integration tests for the front-end timing simulator."""
 
+import inspect
+
 import pytest
 
+from repro.cli import build_parser
 from repro.cpu import FrontEndSimulator, MachineConfig, simulate
+from repro.cpu.config import DEFAULT_WARMUP
 from repro.prefetchers.base import InstructionPrefetcher
 from tests.helpers import linear_trace, looping_trace
 
@@ -150,3 +154,33 @@ class TestPrefetcherHooks:
             stats.cond_mispredicts + stats.indirect_mispredicts
             + stats.ras_mispredicts + 10_000
         )
+
+
+# ----------------------------------------------------------------------
+# DEFAULT_WARMUP: one source of truth for every entry point
+# ----------------------------------------------------------------------
+def test_default_warmup_single_source():
+    from repro.experiments import runner
+
+    assert runner.DEFAULT_WARMUP is DEFAULT_WARMUP
+    sig = inspect.signature(FrontEndSimulator.run)
+    assert sig.parameters["warmup_fraction"].default == DEFAULT_WARMUP
+    sig = inspect.signature(FrontEndSimulator.warmup)
+    assert sig.parameters["warmup_fraction"].default == DEFAULT_WARMUP
+    sig = inspect.signature(simulate)
+    assert sig.parameters["warmup_fraction"].default == DEFAULT_WARMUP
+    sig = inspect.signature(runner.run_prefetcher)
+    assert sig.parameters["warmup"].default == DEFAULT_WARMUP
+    sig = inspect.signature(runner.run_baseline)
+    assert sig.parameters["warmup"].default == DEFAULT_WARMUP
+
+
+def test_default_warmup_cli_parsers():
+    parser = build_parser()
+    warmup_defaults = []
+    for action in parser._subparsers._group_actions[0].choices.values():
+        for sub_action in action._actions:
+            if sub_action.dest == "warmup":
+                warmup_defaults.append(sub_action.default)
+    assert warmup_defaults, "no --warmup flags found in the CLI"
+    assert all(d == DEFAULT_WARMUP for d in warmup_defaults)
