@@ -14,14 +14,16 @@ included) and ``measure_ips``, the measured window's instructions over
 its seconds, read from the timed repetition in ``ledger.json`` (the
 discarded warm-up is skipped).  The measured window is where the
 commit loop runs, and setup dilutes its slowdowns in ``instr_per_s``.
+Memory is compared too: the ledger's ``peak_rss_mb``, where lower is
+better.
 
 Exit status 1 when any invocation exits nonzero, reports
 ``correct: false`` or ``failed > 0``, or lacks a metric, or when on
 either workload the median of the per-pair ratios head/base of either
-rate is below ``1 - T``, with ``T = max(FLOOR, Q3 - Q1)`` of those
-ratios: only the spread this run measured can widen the floor.  A
-failed invocation ends the run after its pair.  Exit 2 on a usage
-error.
+rate is below ``1 - T``, or that of ``peak_rss_mb`` above ``1 + T``,
+with ``T = max(FLOOR, Q3 - Q1)`` of those ratios: only the spread this
+run measured can widen the floor.  A failed invocation ends the run
+after its pair.  Exit 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ from typing import List, Optional, Sequence, Tuple
 PAIRS = 10
 FLOOR = 0.15
 WORKLOADS = ("point_db", "point_msvc")
-METRICS = ("instr_per_s", "measure_ips")
+METRICS = ("instr_per_s", "measure_ips", "peak_rss_mb")
+#: The gated metrics where lower is better; higher is better for the
+#: others.
+LOWER_IS_BETTER = ("peak_rss_mb",)
 #: With ``--seconds 0`` the ledger runs exactly ``--repeats`` timed
 #: repetitions and lists them in ``ledger.json`` before the warm-up.
 REPEATS = 1
@@ -125,13 +130,18 @@ def verdict(pairs: Sequence[Tuple[dict, dict]],
             ratios = [h / b for b, h in values]
             q1, med, q3 = statistics.quantiles(ratios, n=4)
             threshold = max(FLOOR, q3 - q1)
-            ok = med >= 1 - threshold
+            if m in LOWER_IS_BETTER:
+                ok = med <= 1 + threshold
+                failure = f"> {1 + threshold:.3f}"
+            else:
+                ok = med >= 1 - threshold
+                failure = f"< {1 - threshold:.3f}"
             rows.append((w, m, statistics.median(b for b, _ in values),
                          statistics.median(h for _, h in values), med, q1,
                          q3, threshold, "ok" if ok else "REGRESSED"))
             if not ok:
-                problems.append(f"{w}.{m}: median ratio {med:.3f} < "
-                                f"{1 - threshold:.3f}")
+                problems.append(f"{w}.{m}: median ratio {med:.3f} "
+                                f"{failure}")
     return rows, problems
 
 
@@ -196,7 +206,7 @@ def main(argv: Sequence[str]) -> int:
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:
         with open(summary, "a", encoding="utf-8") as fh:
-            fh.write(f"## Ledger A/B: head/base rates, {len(pairs)} "
+            fh.write(f"## Ledger A/B: head/base ratios, {len(pairs)} "
                      f"pairs\n```\n{report}\n```\n")
     return 1 if problems else 0
 

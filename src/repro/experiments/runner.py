@@ -26,7 +26,8 @@ changes.
 Traces get the same treatment: :func:`get_trace` puts a nested on-disk
 trace store (``<cache>/traces``) behind the in-process trace memo, so
 each worker of a cold sweep loads a trace some earlier point built
-instead of rebuilding the application.
+instead of rebuilding the application.  It also keeps the front end's
+branch-prediction pass, once per (trace, BPU configuration).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.workloads.trace import Trace
 __all__ = [
     "DEFAULT_WARMUP",  # re-exported from repro.cpu.config (the source)
     "REPRESENTATIVE_WORKLOADS", "RunCacheStats", "cache_key",
-    "code_hash", "trace_key", "get_trace",
+    "code_hash", "trace_key", "pass_key", "get_trace",
     "run_prefetcher", "run_baseline", "compare_all",
     "perfect_l1i_speedup", "run_cache_stats", "reset_run_cache_stats",
     "record_source", "seed_cache", "peek_cached", "clear_run_cache",
@@ -164,6 +165,13 @@ def trace_key(workload: str, scale: str, seed: int) -> str:
     return f"trace|{workload}|{scale}|s{seed}|{code_hash()[:12]}"
 
 
+def pass_key(workload: str, scale: str, seed: int, bpu: tuple) -> str:
+    """Trace-store key of the prediction pass over a trace under the
+    BPU configuration ``bpu`` (``FrontEndParams.bpu_key``)."""
+    return "|".join(["bpu", trace_key(workload, scale, seed),
+                     *map(str, bpu)])
+
+
 def cache_key(
     workload: str,
     prefetcher: Optional[str],
@@ -211,6 +219,10 @@ class RunCacheStats:
     #: Traces loaded from the on-disk trace store instead of built.
     trace_hits: int = 0
     trace_writes: int = 0
+    #: Branch-prediction passes loaded from the trace store instead of
+    #: run, and passes written to it.
+    pass_hits: int = 0
+    pass_writes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -389,6 +401,33 @@ class _DiskTraceStore:
 _TRACE_STORE = _DiskTraceStore()
 
 
+def _pass_load(key: str, trace: Trace) -> Optional[tuple]:
+    """The stored prediction pass over ``trace``, or None.  A payload
+    that passed the checksum but does not fit the trace counts as
+    corrupt."""
+    payload = diskcache.get_trace_cache().get(key)
+    if payload is None:
+        return None
+    if (payload.get("schema") != diskcache.SCHEMA_VERSION
+            or payload.get("key") != key):
+        return None
+    events = payload.get("events")
+    units = payload.get("units")
+    if not (isinstance(events, bytes) and len(events) == len(trace)
+            and isinstance(units, dict)):
+        _STATS.cache_corrupt += 1
+        return None
+    _STATS.pass_hits += 1
+    return events, units
+
+
+def _pass_store(key: str, done: tuple) -> None:
+    diskcache.get_trace_cache().put(key, {
+        "schema": diskcache.SCHEMA_VERSION, "key": key,
+        "events": done[0], "units": done[1]})
+    _STATS.pass_writes += 1
+
+
 def get_trace(workload: str, scale: str = "bench", seed: int = 1,
               use_cache: bool = True) -> Trace:
     """The trace for (workload, scale, seed): from the in-process memo,
@@ -436,6 +475,17 @@ def run_prefetcher(
     config = MachineConfig()
     if overrides:
         config = config.replace(**overrides)
+    # The prediction pass: from the trace, else the trace store, else
+    # run by bind() below and then stored.
+    bpu = config.frontend.bpu_key
+    pkey = None
+    if (use_cache and diskcache.disk_cache_enabled()
+            and bpu not in trace.bpu_passes):
+        pkey = pass_key(workload, scale, seed, bpu)
+        done = _pass_load(pkey, trace)
+        if done is not None:
+            trace.bpu_passes[bpu] = done
+            pkey = None
     from repro.cpu.simulator import FrontEndSimulator
 
     def build_sim() -> FrontEndSimulator:
@@ -472,6 +522,8 @@ def run_prefetcher(
         sim.warmup(trace, warmup_fraction=warmup)
         if use_cache:
             _warmup_store(wkey, sim.state_dict())
+    if pkey is not None:
+        _pass_store(pkey, trace.bpu_passes[bpu])
     stats = sim.measure()
     miss_map = (
         dict(sim.hierarchy.l2_miss_map) if track_block_misses else None

@@ -57,6 +57,26 @@ class BranchTargetBuffer(SimComponent):
             self.misses += 1
         return target
 
+    def probe(self, pc: int, target: int) -> Optional[int]:
+        """:meth:`lookup` then :meth:`update` in one set probe: returns
+        what ``lookup(pc)`` would and leaves the state and counters that
+        ``lookup(pc)`` then ``update(pc, target)`` leave."""
+        self.lookups += 1
+        if self.infinite:
+            entries = self._all
+            known = entries.get(pc)
+        else:
+            entries = self._sets[self._index(pc)]
+            known = entries.get(pc)
+            if known is not None:
+                entries.move_to_end(pc)
+            elif len(entries) >= self.assoc:
+                entries.popitem(last=False)
+        entries[pc] = target
+        if known is None:
+            self.misses += 1
+        return known
+
     def update(self, pc: int, target: int) -> None:
         """Install/refresh the target for branch ``pc``."""
         if self.infinite:

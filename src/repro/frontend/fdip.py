@@ -17,9 +17,17 @@ The branch-prediction unit reads only the trace: never timing, the
 memory hierarchy or the prefetcher.  And the runahead evaluates every
 block exactly once, in trace order.  So :meth:`FDIPFrontEnd.bind` runs
 the unit once over the whole trace (TAGE through its batch
-:meth:`~repro.frontend.tage.TagePredictor.predict_all`) and records one
-*event byte* per block.  Its bits say which SimStats branch counters the
-block bumps (:data:`BRANCH_COUNTERS`), and so what penalty it costs.
+:meth:`~repro.frontend.tage.TagePredictor.predict_all`, one BTB
+:meth:`~repro.frontend.btb.BranchTargetBuffer.probe` per taken direct
+branch) and records one *event byte* per block.  Its bits say which
+SimStats branch counters the block bumps (:data:`BRANCH_COUNTERS`), and
+so what penalty it costs.
+
+Front ends with one BPU configuration (:attr:`FrontEndParams.bpu_key`)
+get the same pass over a trace, so it is kept in ``trace.bpu_passes``
+(the experiment runner also stores it on disk): the event bytes and the
+units' final stats, which :meth:`FDIPFrontEnd.stats_snapshot` reports
+whether the pass ran or was carried.
 :meth:`FDIPFrontEnd.advance` then only moves the runahead, stopping at
 the next penalty block, and issues prefetches.  The commit loop reads
 each block's penalty from :attr:`FDIPFrontEnd.pen`.  The branch
@@ -40,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.component import SimComponent, check_state_fields
 from repro.frontend.btb import BranchTargetBuffer
@@ -97,6 +105,12 @@ class FrontEndParams:
     #: branches are still predicted and penalties still charged).
     issue_prefetches: bool = True
 
+    @property
+    def bpu_key(self) -> tuple:
+        """Every input of the prediction pass besides the trace (TAGE
+        and ITTAGE have fixed geometry)."""
+        return (self.btb_entries, self.btb_assoc, self.ras_depth)
+
 
 class FDIPFrontEnd(SimComponent):
     """Decoupled front-end model bound to one trace.
@@ -124,12 +138,14 @@ class FDIPFrontEnd(SimComponent):
         self._blocked_at = -1  # runahead waits until commit reaches this
         self._counted = 0      # blocks below this are in the stats counters
         # What bind() derives from the trace: the prediction pass's
-        # per-block event bytes and penalty kinds, the penalty blocks in
-        # order (then the trace length), the next of them at or after
-        # the runahead pointer, the bound decode tables and bind-time
-        # constants.  Rebuilt wholesale by bind(), so resume correctness
-        # never depends on snapshotting them.
+        # per-block event bytes and the units' stats after it, the
+        # penalty kinds, the penalty blocks in order (then the trace
+        # length), the next of them at or after the runahead pointer,
+        # the bound decode tables and bind-time constants.  Rebuilt
+        # wholesale by bind(), so resume correctness never depends on
+        # snapshotting them.
         self._ev = self.pen = b""  # lint: ephemeral
+        self._units = self._unit_stats()  # lint: ephemeral
         self._stops: List[int] = []  # lint: ephemeral
         self._stop = 0  # lint: ephemeral
         self._b0 = self._b1 = self._page = None  # lint: ephemeral
@@ -141,7 +157,8 @@ class FDIPFrontEnd(SimComponent):
     def bind(self, trace, hierarchy, itlb=None,
              itlb_prefetch: bool = False) -> None:
         """Attach the front end to a trace and the memory hierarchy, and
-        run the branch-prediction unit over the trace.
+        run the branch-prediction unit over the trace, unless the trace
+        carries the pass (``trace.bpu_passes``) already.
 
         With ``itlb_prefetch`` the runahead also probes the I-TLB for
         each enqueued region's page (non-stalling install; see
@@ -159,12 +176,25 @@ class FDIPFrontEnd(SimComponent):
         self._ptr = 0
         self._blocked_at = -1
         self._counted = 0
-        self._predict(trace)
+        key = self.params.bpu_key
+        done = trace.bpu_passes.get(key)
+        if done is None:
+            done = trace.bpu_passes[key] = self._predict(trace)
+        self._ev, self._units = done
+        self.pen = self._ev.translate(_PENALTY_OF)
+        self._stops = [*compress(range(len(trace)), self.pen), len(trace)]
         self._stop = self._stops[0]
 
-    def _predict(self, trace) -> None:
+    def _unit_stats(self) -> Dict[str, float]:
+        return {f"{name}.{key}": value
+                for name, unit in (("btb", self.btb), ("tage", self.tage),
+                                   ("ittage", self.ittage), ("ras", self.ras))
+                for key, value in unit.stats_snapshot().items()}
+
+    def _predict(self, trace) -> Tuple[bytes, Dict[str, float]]:
         """Run the branch-prediction unit over every block's terminator,
-        in trace order, from power-on state."""
+        in trace order, from power-on state; return the event bytes and
+        the units' stats."""
         for unit in (self.btb, self.tage, self.ittage, self.ras):
             unit.reset()
         kind_arr = trace.kind
@@ -174,13 +204,11 @@ class FDIPFrontEnd(SimComponent):
         is_cond = [k == _COND for k in kind_arr]
         correct = self.tage.predict_all(list(compress(term_arr, is_cond)),
                                         list(compress(taken_arr, is_cond)))
-        btb_lookup = self.btb.lookup
-        btb_update = self.btb.update
+        btb_probe = self.btb.probe
         ras_push = self.ras.push
         ras_pop = self.ras.pop
         ittage = self.ittage.predict_and_update
         ev = bytearray(len(trace))
-        stops = []
         c = 0
         for i, kind, term, target, taken in zip(count(), kind_arr, term_arr,
                                                 tgt_arr, taken_arr):
@@ -188,10 +216,8 @@ class FDIPFrontEnd(SimComponent):
                 if not correct[c]:
                     e = _EV_COND | _EV_COND_MISS
                 elif taken:
-                    known = btb_lookup(term)
-                    btb_update(term, target)
                     e = _EV_COND | _EV_BTB
-                    if known != target:
+                    if btb_probe(term, target) != target:
                         e |= _EV_BTB_MISS
                 else:
                     e = _EV_COND
@@ -201,9 +227,8 @@ class FDIPFrontEnd(SimComponent):
             elif kind == _JUMP or kind == _CALL:
                 if kind == _CALL:
                     ras_push(term + 4)
-                known = btb_lookup(term)
-                btb_update(term, target)
-                e = _EV_BTB if known == target else _EV_BTB | _EV_BTB_MISS
+                e = (_EV_BTB if btb_probe(term, target) == target
+                     else _EV_BTB | _EV_BTB_MISS)
             elif kind == _RET:
                 e = (_EV_RET if ras_pop() == target
                      else _EV_RET | _EV_RET_MISS)
@@ -216,12 +241,7 @@ class FDIPFrontEnd(SimComponent):
                 raise ValueError(
                     f"unknown branch kind {kind} at trace index {i}")
             ev[i] = e
-            if e & (_EV_MISPREDICT | _EV_BTB_MISS):
-                stops.append(i)
-        stops.append(len(trace))
-        self._ev = ev
-        self.pen = ev.translate(_PENALTY_OF)
-        self._stops = stops
+        return bytes(ev), self._unit_stats()
 
     def penalty_at(self, i: int) -> int:
         """Penalty kind charged when block ``i`` commits (``PEN_NONE``
@@ -297,6 +317,7 @@ class FDIPFrontEnd(SimComponent):
     def reset(self) -> None:
         for unit in (self.btb, self.tage, self.ittage, self.ras):
             unit.reset()
+        self._units = self._unit_stats()
         self._ptr = 0
         self._blocked_at = -1
         self._counted = 0
@@ -317,9 +338,4 @@ class FDIPFrontEnd(SimComponent):
         self._stop = stops[bisect_left(stops, self._ptr)] if stops else 0
 
     def stats_snapshot(self) -> Dict[str, float]:
-        out = {"runahead": float(self._ptr)}
-        for name, unit in (("btb", self.btb), ("tage", self.tage),
-                           ("ittage", self.ittage), ("ras", self.ras)):
-            for key, value in unit.stats_snapshot().items():
-                out[f"{name}.{key}"] = value
-        return out
+        return {"runahead": float(self._ptr), **self._units}

@@ -5,13 +5,17 @@ stack, drawing branch outcomes / request types / dispatch decisions from
 a seeded RNG, and emits one record per executed basic block into
 parallel arrays (the representation the simulator consumes).  It also
 annotates request and stage spans for the Figure 1 footprint analysis.
+
+Equal addresses and cache-block or page indices share one int object
+across a trace's tables (see :class:`Trace`); only object identity is
+shared, never changed values.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.binary import Function
 from repro.isa.instructions import BranchKind, INSTR_BYTES
@@ -51,6 +55,15 @@ class Trace:
     consumer of the commit stream (the simulator's hot loop, the FDIP
     runahead, commit-driven prefetchers) indexes them instead of
     re-deriving cache-block and page indices per committed block.
+
+    A bench trace has ten times more blocks than distinct addresses,
+    so every table holds one int object per distinct value: ``pc`` and
+    ``target`` come from per-function address tables (or are interned
+    by :meth:`from_payload`), and the decode tables are filled by lookup.
+
+    ``bpu_passes`` is derived state too: the branch-prediction pass per
+    BPU configuration (:meth:`repro.frontend.fdip.FDIPFrontEnd.bind`).
+    Neither is part of :meth:`to_payload`.
     """
 
     def __init__(self) -> None:
@@ -77,6 +90,9 @@ class Trace:
         self._block1: Optional[List[int]] = None
         self._page: Optional[List[int]] = None
         self._term: Optional[List[int]] = None
+        #: (btb_entries, btb_assoc, ras_depth) -> (event bytes, unit
+        #: stats) of the prediction pass over this trace.
+        self.bpu_passes: Dict[tuple, Tuple[bytes, dict]] = {}
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -95,26 +111,55 @@ class Trace:
         """Rebuild a trace from :meth:`to_payload` output.
 
         Raises ``KeyError`` for a missing field and ``ValueError`` when
-        the per-block arrays differ in length.
+        the per-block arrays differ in length.  ``pc`` and ``target``
+        are interned: one int object per distinct address.
         """
         trace = cls()
         for name in PAYLOAD_FIELDS:
             setattr(trace, name, payload[name])
         if len({len(getattr(trace, name)) for name in ARRAY_FIELDS}) != 1:
             raise ValueError("corrupt trace (ragged arrays)")
+        addrs = dict(zip(trace.pc, trace.pc))
+        addrs.update(zip(trace.target, trace.target))
+        trace.pc = list(map(addrs.__getitem__, trace.pc))
+        trace.target = list(map(addrs.__getitem__, trace.target))
         return trace
 
     # ------------------------------------------------------------------
     # Precomputed decode tables
     # ------------------------------------------------------------------
     def _decode(self) -> None:
+        # One value per distinct key, equal values shared.  block1 and
+        # term are keyed by pc unless a (hand-built) trace repeats a pc
+        # with another length: then by the (pc, ninstr) pair.
         pc = self.pc
         nin = self.ninstr
         ib = INSTR_BYTES
-        self._block0 = [a >> 6 for a in pc]
-        self._block1 = [(a + n * ib - 1) >> 6 for a, n in zip(pc, nin)]
-        self._page = [a >> 12 for a in pc]
-        self._term = [a + (n - 1) * ib for a, n in zip(pc, nin)]
+        values: Dict[int, int] = {}
+
+        def share(value: int) -> int:
+            return values.setdefault(value, value)
+
+        lengths = dict(zip(pc, nin))
+        block0 = {a: share(a >> 6) for a in lengths}
+        page = {a: share(a >> 12) for a in lengths}
+        # Generators, not containers of tuples: tuples kept alive would
+        # set off the cyclic GC, which then scans the whole application.
+        if list(map(lengths.__getitem__, pc)) == nin:
+            keys = pc
+            spans = ((a, a, n) for a, n in lengths.items())
+        else:
+            keys = list(zip(pc, nin))
+            spans = ((k, *k) for k in set(keys))
+        block1 = {}
+        term = {}
+        for k, a, n in spans:
+            block1[k] = share((a + n * ib - 1) >> 6)
+            term[k] = share(a + (n - 1) * ib)
+        self._block0 = list(map(block0.__getitem__, pc))
+        self._page = list(map(page.__getitem__, pc))
+        self._block1 = list(map(block1.__getitem__, keys))
+        self._term = list(map(term.__getitem__, keys))
 
     @property
     def block0(self) -> List[int]:
@@ -210,10 +255,23 @@ class TraceBuilder:
             cum.append(acc)
 
         main = binary.get("main")
-        # Call stack: (function, resume block index). Loop counters are
-        # per-frame dicts created lazily.
-        stack: List[Tuple[Function, int, Optional[dict]]] = []
+        # Per-function block address tables, built once per function:
+        # every pc and target is taken from them, so equal addresses
+        # are one int object across the whole trace.
+        tables: Dict[Function, List[int]] = {}
+
+        def addrs_of(f: Function) -> List[int]:
+            addrs = tables.get(f)
+            if addrs is None:
+                base = f.addr
+                addrs = tables[f] = [base + b.offset for b in f.blocks]
+            return addrs
+
+        # Call stack: (function, its address table, resume block index,
+        # loop counters); loop counters are dicts created lazily.
+        stack: List[Tuple[Function, List[int], int, Optional[dict]]] = []
         func = main
+        addrs = addrs_of(main)
         idx = 0
         loops: Optional[dict] = None
         # Preheat prefix: the first requests cycle deterministically
@@ -233,7 +291,7 @@ class TraceBuilder:
 
         while True:
             blk = func.blocks[idx]
-            pc = func.addr + blk.offset
+            pc = addrs[idx]
             nin = blk.ninstr
             kind = blk.kind
             term = pc + (nin - 1) * INSTR_BYTES
@@ -253,7 +311,7 @@ class TraceBuilder:
                 else:
                     taken = rand() < blk.taken_prob
                 nxt = blk.taken_next if taken else idx + 1
-                target = func.addr + func.blocks[nxt].offset
+                target = addrs[nxt]
                 pc_a.append(pc)
                 nin_a.append(nin)
                 kind_a.append(_COND)
@@ -262,7 +320,7 @@ class TraceBuilder:
                 tag_a.append(0)
                 idx = nxt
             elif kind == _NONE:
-                target = func.addr + func.blocks[idx + 1].offset
+                target = addrs[idx + 1]
                 pc_a.append(pc)
                 nin_a.append(nin)
                 kind_a.append(_NONE)
@@ -292,7 +350,8 @@ class TraceBuilder:
                                 % len(blk.targets)
                             ]
                     callee = binary.get(chosen)
-                target = callee.addr
+                callee_addrs = addrs_of(callee)
+                target = callee_addrs[0]
                 is_tagged = 1 if term in tagged_set else 0
                 pc_a.append(pc)
                 nin_a.append(nin)
@@ -302,13 +361,14 @@ class TraceBuilder:
                 tag_a.append(is_tagged)
                 if kind == _CALL and callee.name in dispatch_names:
                     open_stage = (len(pc_a), dispatcher_stage[callee.name])
-                stack.append((func, idx + 1, loops))
+                stack.append((func, addrs, idx + 1, loops))
                 func = callee
+                addrs = callee_addrs
                 idx = 0
                 loops = None
             elif kind == _RET:
-                rfunc, ridx, rloops = stack.pop()
-                target = rfunc.addr + rfunc.blocks[ridx].offset
+                rfunc, raddrs, ridx, rloops = stack.pop()
+                target = raddrs[ridx]
                 is_tagged = 1 if term in tagged_set else 0
                 pc_a.append(pc)
                 nin_a.append(nin)
@@ -322,10 +382,10 @@ class TraceBuilder:
                         (start, len(pc_a), stage_name, request_type)
                     )
                     open_stage = None
-                func, idx, loops = rfunc, ridx, rloops
+                func, addrs, idx, loops = rfunc, raddrs, ridx, rloops
             elif kind == _JUMP:
                 nxt = blk.taken_next
-                target = func.addr + func.blocks[nxt].offset
+                target = addrs[nxt]
                 pc_a.append(pc)
                 nin_a.append(nin)
                 kind_a.append(_JUMP)
@@ -350,7 +410,7 @@ class TraceBuilder:
             elif kind == _IJUMP:
                 nxt = blk.itargets[int(rand() * len(blk.itargets))
                                    % len(blk.itargets)]
-                target = func.addr + func.blocks[nxt].offset
+                target = addrs[nxt]
                 pc_a.append(pc)
                 nin_a.append(nin)
                 kind_a.append(_IJUMP)

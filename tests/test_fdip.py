@@ -1,5 +1,9 @@
 """Unit tests for the FDIP decoupled front-end model."""
 
+from unittest import mock
+
+import pytest
+
 from repro.cpu.stats import SimStats
 from repro.frontend.fdip import (
     FDIPFrontEnd,
@@ -11,6 +15,7 @@ from repro.frontend.fdip import (
 from repro.isa.instructions import BranchKind
 from repro.memory.cache import ORIGIN_FDIP
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
+from repro.workloads.trace import Trace
 from tests.helpers import TraceAssembler, linear_trace
 
 
@@ -146,3 +151,46 @@ class TestBranchHandling:
         trace = linear_trace(8)
         fdip, hier, stats = make_fdip(trace, btb_entries=None)
         assert fdip.btb.infinite
+
+
+class TestCarriedPass:
+    """The prediction pass is kept with the trace, per BPU
+    configuration; a later bind uses it instead of running the units."""
+
+    def test_carried_pass_binds_like_a_run_one(self, micro_trace):
+        trace = Trace.from_payload(micro_trace.to_payload())
+        ran, _, _ = make_fdip(trace)
+        assert list(trace.bpu_passes) == [FrontEndParams().bpu_key]
+        with mock.patch.object(FDIPFrontEnd, "_predict",
+                               side_effect=AssertionError("pass re-run")):
+            carried, _, _ = make_fdip(trace)
+        assert ran.tage.predictions > 0
+        assert carried.tage.predictions == 0  # the units never ran
+        assert carried.pen == ran.pen
+        assert carried._stops == ran._stops
+        # The snapshot reports the units as the pass left them, on
+        # both paths.
+        snap = ran.stats_snapshot()
+        assert snap["tage.predictions"] > 0
+        assert snap["ras.live"] + snap["btb.resident"] > 0
+        assert carried.stats_snapshot() == snap
+
+    @pytest.mark.parametrize("params", [{"btb_entries": None},
+                                        {"btb_assoc": 4},
+                                        {"ras_depth": 4}])
+    def test_each_bpu_configuration_runs_its_own_pass(self, micro_trace,
+                                                      params):
+        trace = Trace.from_payload(micro_trace.to_payload())
+        make_fdip(trace)
+        # Fields outside the pass share it.
+        make_fdip(trace, ftq_entries=4, mispredict_penalty=1.0,
+                  issue_prefetches=False)
+        assert len(trace.bpu_passes) == 1
+        make_fdip(trace, **params)
+        assert len(trace.bpu_passes) == 2
+
+    def test_reset_reports_power_on_units(self, micro_trace):
+        fdip, _, _ = make_fdip(micro_trace)
+        fdip.reset()
+        fresh = FDIPFrontEnd(FrontEndParams(), SimStats())
+        assert fdip.stats_snapshot() == fresh.stats_snapshot()

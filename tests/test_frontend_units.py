@@ -1,6 +1,7 @@
 """Unit tests for BTB, RAS, I-TLB, TAGE and ITTAGE."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ittage import ITTagePredictor
@@ -44,6 +45,27 @@ class TestBTB:
         btb.update(0x100, 0x900)
         btb.update(0x100, 0xA00)
         assert btb.lookup(0x100) == 0xA00
+
+
+#: (pc, target) streams over few pcs, so sets fill, hit and evict.
+_probes = st.lists(st.tuples(st.integers(0, 40).map(lambda k: 4 * k),
+                             st.integers(0, 3)), max_size=200)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=_probes, entries=st.sampled_from([8, None]))
+def test_probe_is_lookup_then_update(stream, entries):
+    """One ``probe`` leaves what ``lookup`` then ``update`` leave, on an
+    8-entry 2-way BTB and an infinite one."""
+    probed = BranchTargetBuffer(entries, 2)
+    reference = BranchTargetBuffer(entries, 2)
+    for pc, target in stream:
+        expected = reference.lookup(pc)
+        reference.update(pc, target)
+        assert probed.probe(pc, target) == expected
+        assert (probed.lookups, probed.misses) == \
+            (reference.lookups, reference.misses)
+    assert probed.state_dict() == reference.state_dict()
 
 
 class TestRAS:

@@ -14,17 +14,21 @@ _spec.loader.exec_module(ledger_ab)
 
 
 def result(db=200_000.0, msvc=250_000.0, db_loop=600_000.0,
-           msvc_loop=500_000.0, exit=0, correct=True, failed=0):
+           msvc_loop=500_000.0, db_rss=120.0, msvc_rss=115.0, exit=0,
+           correct=True, failed=0):
     """A parsed invocation: ``db``/``msvc`` are the end-to-end
-    ``instr_per_s``, ``*_loop`` the measured window's ``measure_ips``;
-    None leaves the metric out."""
+    ``instr_per_s``, ``*_loop`` the measured window's ``measure_ips``,
+    ``*_rss`` the ``peak_rss_mb``; None leaves the metric out."""
     metrics = {}
     for key, value in (("point_db.instr_per_s", db),
                        ("point_msvc.instr_per_s", msvc),
                        ("point_db.measure_ips", db_loop),
-                       ("point_msvc.measure_ips", msvc_loop)):
+                       ("point_msvc.measure_ips", msvc_loop),
+                       ("point_db.peak_rss_mb", db_rss),
+                       ("point_msvc.peak_rss_mb", msvc_rss)):
         if value is not None:
-            metrics[key] = {"value": value, "unit": "instr/s"}
+            unit = "MB" if key.endswith("rss_mb") else "instr/s"
+            metrics[key] = {"value": value, "unit": unit}
     return {"exit": exit, "line": {"correct": correct, "attempted": 4,
                                    "failed": failed, "metrics": metrics}}
 
@@ -46,7 +50,7 @@ def verdicts(rows):
 def test_passes_at_ratio_one():
     rows, problems = ledger_ab.verdict(pairs([1.0] * ledger_ab.PAIRS))
     assert problems == []
-    assert len(rows) == 4
+    assert len(rows) == 6
     assert set(verdicts(rows).values()) == {"ok"}
     assert rows[0][4] == pytest.approx(1.0)
     assert rows[0][7] == pytest.approx(ledger_ab.FLOOR)
@@ -57,8 +61,10 @@ def test_fails_at_ratio_080():
     assert verdicts(rows) == {
         ("point_db", "instr_per_s"): "REGRESSED",
         ("point_db", "measure_ips"): "REGRESSED",
+        ("point_db", "peak_rss_mb"): "ok",
         ("point_msvc", "instr_per_s"): "ok",
-        ("point_msvc", "measure_ips"): "ok"}
+        ("point_msvc", "measure_ips"): "ok",
+        ("point_msvc", "peak_rss_mb"): "ok"}
     assert problems == [
         "point_db.instr_per_s: median ratio 0.800 < 0.850",
         "point_db.measure_ips: median ratio 0.800 < 0.850"]
@@ -109,6 +115,47 @@ def test_fails_on_a_missing_metric():
     assert set(verdicts(rows).values()) == {"ok"}
 
 
+def rss_pairs(db_ratios, msvc_ratio=1.0):
+    """Pairs at equal rates whose head peaks at ``db_ratios`` of the
+    base's point_db RSS and ``msvc_ratio`` of its point_msvc RSS."""
+    return [(result(), result(db_rss=120.0 * r, msvc_rss=115.0 * msvc_ratio))
+            for r in db_ratios]
+
+
+def test_memory_gate_passes_at_ratio_one():
+    rows, problems = ledger_ab.verdict(rss_pairs([1.0] * ledger_ab.PAIRS))
+    assert problems == []
+    rss = [row for row in rows if row[1] == "peak_rss_mb"]
+    assert [row[0] for row in rss] == ["point_db", "point_msvc"]
+    assert [row[4] for row in rss] == [pytest.approx(1.0)] * 2
+
+
+def test_memory_gate_fails_at_ratio_120():
+    rows, problems = ledger_ab.verdict(rss_pairs([1.20] * ledger_ab.PAIRS,
+                                                 msvc_ratio=1.20))
+    assert problems == ["point_db.peak_rss_mb: median ratio 1.200 > 1.150",
+                        "point_msvc.peak_rss_mb: median ratio 1.200 > 1.150"]
+    assert verdicts(rows)[("point_db", "instr_per_s")] == "ok"
+
+
+def test_memory_gate_spread_widens_the_floor():
+    # Median 1.20, but the quartiles lie more than 0.20 apart.
+    ratios = [1.0, 1.05, 1.1, 1.15, 1.2, 1.2, 1.25, 1.3, 1.35, 1.4]
+    rows, problems = ledger_ab.verdict(rss_pairs(ratios))
+    row = next(r for r in rows if r[:2] == ("point_db", "peak_rss_mb"))
+    assert row[4] == pytest.approx(1.20)
+    assert row[6] - row[5] > 0.20
+    assert row[7] == pytest.approx(row[6] - row[5])
+    assert problems == []
+
+
+def test_memory_gate_fails_on_a_missing_metric():
+    cases = rss_pairs([1.0] * ledger_ab.PAIRS)
+    cases[2] = (cases[2][0], result(msvc_rss=None))
+    _rows, problems = ledger_ab.verdict(cases)
+    assert problems == ["pair 3 head: no point_msvc.peak_rss_mb"]
+
+
 def test_fails_without_a_result_line():
     cases = pairs([1.0] * ledger_ab.PAIRS)
     cases[0] = (cases[0][0], {"exit": 0, "line": None})
@@ -157,6 +204,8 @@ doc = {"workloads": [{"name": w, "reps": reps} for w in args.workload]}
 pathlib.Path(args.out, "ledger.json").write_text(json.dumps(doc))
 metrics = {w + ".instr_per_s": {"value": 1e5, "unit": "instr/s"}
            for w in args.workload}
+metrics.update({w + ".peak_rss_mb": {"value": 90.0, "unit": "MB"}
+                for w in args.workload})
 print("== human-readable report")
 print(json.dumps({"correct": True, "failed": 0, "metrics": metrics}))
 """

@@ -15,10 +15,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import repro
+from repro.cpu import MachineConfig
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
 from repro.experiments.journal import grid_fingerprint
@@ -32,6 +34,7 @@ from repro.experiments.runner import (
     trace_key,
 )
 from repro.experiments.sweep import SweepPoint, grid, sweep
+from repro.frontend.fdip import FDIPFrontEnd
 from repro.workloads import cache as workload_cache
 
 WORKLOAD = "mysql_sibench"
@@ -554,6 +557,99 @@ class TestTraceStore:
         assert builds == [WORKLOAD, WORKLOAD]
         assert list(diskcache.get_trace_cache().quarantined())
         assert after.state_dict() == before.state_dict()
+
+
+#: Patches ``FDIPFrontEnd._predict`` so that running the pass fails.
+no_pass = mock.patch.object(FDIPFrontEnd, "_predict",
+                            side_effect=AssertionError("pass re-run"))
+
+
+def _forget_results():
+    """Drop the results and the in-process memos; keep warmup
+    checkpoints and the trace store."""
+    clear_run_cache()
+    diskcache.get_cache().clear()
+    workload_cache.clear_caches()
+
+
+class TestPassStore:
+    """The front end's prediction pass, kept in the trace store."""
+
+    def test_pass_is_paid_once_per_trace(self, cache_dir, builds):
+        first, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        s = run_cache_stats()
+        assert (s.pass_hits, s.pass_writes) == (0, 1)
+        workload_cache.clear_caches()
+        with no_pass:
+            second, _ = run_prefetcher(WORKLOAD, "mana", scale="tiny")
+        s = run_cache_stats()
+        assert (s.pass_hits, s.pass_writes) == (1, 1)
+        assert builds == [WORKLOAD]
+        # Fresh traces, passes run in-process: the same results.
+        for name, stats in (("eip", first), ("mana", second)):
+            workload_cache.clear_caches()
+            alone, _ = run_prefetcher(WORKLOAD, name, scale="tiny",
+                                      use_cache=False)
+            assert alone == stats
+        s = run_cache_stats()
+        assert (s.pass_hits, s.pass_writes) == (1, 1)
+
+    def test_checkpoint_resume_uses_the_stored_pass(self, cache_dir,
+                                                     builds):
+        expected, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        _forget_results()
+        with no_pass:
+            got, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
+        s = run_cache_stats()
+        assert (s.warmup_hits, s.pass_hits, s.pass_writes) == (1, 1, 1)
+        assert got == expected
+
+    def test_bad_entry_is_recomputed_and_counted(self, cache_dir, builds):
+        expected, _ = run_baseline(WORKLOAD, scale="tiny")
+        bpu = MachineConfig().frontend.bpu_key
+        path = diskcache.get_trace_cache().path_for(
+            runner.pass_key(WORKLOAD, "tiny", 1, bpu))
+        payload = _read_payload(path)
+        good = payload["events"]
+        _write_payload(path, dict(payload, events=good[:-1]))
+        _forget_results()
+        diskcache.get_warmup_cache().clear()
+        reset_run_cache_stats()
+
+        got, _ = run_baseline(WORKLOAD, scale="tiny")
+        s = run_cache_stats()
+        assert s.cache_corrupt == 1
+        assert (s.pass_hits, s.pass_writes) == (0, 1)
+        assert _read_payload(path)["events"] == good
+        assert got == expected
+
+    def test_key_holds_every_bpu_input(self):
+        keys = {runner.pass_key(WORKLOAD, "tiny", 1, bpu)
+                for bpu in [(8192, 8, 32), (None, 8, 32), (8192, 4, 32),
+                            (8192, 8, 16)]}
+        assert len(keys) == 4
+        assert all(k.startswith("bpu|" + trace_key(WORKLOAD, "tiny", 1))
+                   for k in keys)
+        # The FTQ, the penalties and issue_prefetches stay out.
+        base = MachineConfig().frontend
+        other = MachineConfig().replace(**{
+            "frontend.ftq_entries": 4, "frontend.btb_miss_penalty": 1.0,
+            "frontend.issue_prefetches": False}).frontend
+        assert other.bpu_key == base.bpu_key
+
+    def test_without_a_cache_the_store_is_untouched(self, cache_dir, builds,
+                                                    monkeypatch):
+        run_prefetcher(WORKLOAD, "eip", scale="tiny")  # stores a pass
+        workload_cache.clear_caches()
+        with mock.patch.object(FDIPFrontEnd, "_predict", autospec=True,
+                               side_effect=FDIPFrontEnd._predict) as pass_:
+            run_prefetcher(WORKLOAD, "mana", scale="tiny", use_cache=False)
+            workload_cache.clear_caches()
+            monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+            run_prefetcher(WORKLOAD, "efetch", scale="tiny")
+        assert pass_.call_count == 2
+        s = run_cache_stats()
+        assert (s.pass_hits, s.pass_writes) == (0, 1)
 
 
 class TestTraceFirstDispatch:

@@ -1,6 +1,8 @@
 """Unit tests for the Trace container API (no simulation involved)."""
 
+from repro.experiments import runner
 from repro.isa.instructions import BranchKind
+from repro.workloads.suite import build_application, requests_for
 from tests.helpers import TraceAssembler, linear_trace
 
 
@@ -64,3 +66,45 @@ class TestAssemblerConsistency:
         asm.add(0x1000, 4, "RET", taken=True, target=0x2000)
         trace = asm.build()
         assert trace.kind[0] == int(BranchKind.RET)
+
+
+SHARED = ("pc", "target", "block0", "block1", "page", "term")
+
+
+def assert_one_object_per_value(trace):
+    for name in SHARED:
+        arr = getattr(trace, name)
+        assert len({id(v) for v in arr}) == len(set(arr)), name
+
+
+class TestSharedInts:
+    """Every per-block table of large ints holds one object per distinct
+    value, on a built trace and on one loaded from the trace store."""
+
+    def test_built_and_loaded_traces_share_ints(self):
+        name = "mysql_sibench"
+        built = build_application(name).trace(requests_for(name, "tiny"),
+                                               seed=5)
+        assert len(set(built.pc)) < len(built) // 2
+        assert_one_object_per_value(built)
+        runner._TRACE_STORE.save(name, "tiny", 5, built)
+        loaded = runner._TRACE_STORE.load(name, "tiny", 5)
+        assert loaded is not built
+        assert_one_object_per_value(loaded)
+        for field in SHARED:
+            assert getattr(loaded, field) == getattr(built, field)
+
+    def test_decode_tables_key_on_pc_and_length(self):
+        # One pc, two block lengths: block1 and term differ per block.
+        asm = TraceAssembler()
+        for ninstr in (4, 30, 4, 30):
+            asm.add(0x400030, ninstr, BranchKind.JUMP, taken=True,
+                    target=0x400030)
+        trace = asm.build()
+        assert trace.block1 == [(0x400030 + n * 4 - 1) >> 6
+                                for n in trace.ninstr]
+        assert trace.term == [0x400030 + (n - 1) * 4 for n in trace.ninstr]
+        assert trace.block1[0] != trace.block1[1]
+        assert trace.block0 == [0x400030 >> 6] * 4
+        assert trace.page == [0x400030 >> 12] * 4
+        assert_one_object_per_value(trace)
