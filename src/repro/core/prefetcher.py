@@ -125,19 +125,17 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
         self._paced = cfg.paced
         self._track = cfg.track_bundles
         self._issue_per = cfg.issue_per_commit
-        # Commit-hot trace arrays (incl. the precomputed decode tables);
-        # wiring, not state — attach() binds the trace before reset().
+        # Commit-hot trace arrays (the decode tables are bound by the
+        # base class); wiring, not state — attach() binds the trace
+        # before reset().
         tr = self.trace
         if tr is not None:
             self._nin_a = tr.ninstr
             self._kind_a = tr.kind
             self._tgt_a = tr.target
             self._tag_a = tr.tagged
-            self._b0_a = tr.block0
-            self._b1_a = tr.block1
         else:
-            self._nin_a = self._kind_a = self._tgt_a = None
-            self._tag_a = self._b0_a = self._b1_a = None
+            self._nin_a = self._kind_a = self._tgt_a = self._tag_a = None
         self._bundle_insts = 0
         self._fifo: list = []          # (block, extra_latency) pending issue
         self._fifo_pos = 0
@@ -169,8 +167,8 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
         self._commit_i = i
         # Record path: feed the Compression Buffer with this block's
         # cache lines.
-        b0 = self._b0_a[i]
-        b1 = self._b1_a[i]
+        b0 = self._block0[i]
+        b1 = self._block1[i]
         compression = self.compression
         if b0 != self._last_block:
             compression.observe(b0)
@@ -193,7 +191,7 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
             for view in replay.take_eligible(pace):
                 self._stage_segment(view, now)
         if self._fifo_pos < len(self._fifo):
-            self._drain_fifo(now, i)
+            self._drain_fifo(now)
         # Trigger path: tagged call/return commits end/start Bundles.
         if self._tag_a[i] and self._kind_a[i] in _TRIGGER_KINDS:
             self._on_tagged(self._tgt_a[i], now)
@@ -284,18 +282,19 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
             for block in region.blocks():
                 fifo.append((block, ready))
 
-    def _drain_fifo(self, now: float, i: int) -> None:
+    def _drain_fifo(self, now: float) -> None:
         fifo = self._fifo
         pos = self._fifo_pos
         end = min(len(fifo), pos + self._issue_per)
-        issue = self.issue
-        to_l2 = self._to_l2
+        blocks = []
         while pos < end:
             block, ready = fifo[pos]
             if ready > now:
                 break  # metadata for this segment not back yet
-            issue(block, now, i, to_l2=to_l2)
+            blocks.append(block)
             pos += 1
+        if blocks:
+            self.issue_many(blocks, now, to_l2=self._to_l2)
         self._fifo_pos = pos
         if pos >= len(fifo):
             self._fifo = []

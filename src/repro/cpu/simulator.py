@@ -3,8 +3,8 @@
 The commit loop walks the basic-block trace once.  Per committed block:
 
 1. the FDIP front end advances its runahead pointer, issuing FTQ
-   prefetches (the branch predictions were made when the trace was
-   bound, see :mod:`repro.frontend.fdip`);
+   prefetches, when it can move (the branch predictions were made when
+   the trace was bound, see :mod:`repro.frontend.fdip`);
 2. the I-TLB translates the block's page (stalling on a walk);
 3. the demand fetch of the block's cache line(s) goes to the hierarchy
    (stalling for residual fill latency on a miss);
@@ -258,7 +258,9 @@ class FrontEndSimulator(SimComponent):
         # range boundaries, so chunk-local accumulation is observably
         # equivalent).  ``self.now`` is still published before each
         # prefetcher ``on_commit`` — EIP's ``on_miss`` reads ``sim.now``
-        # and must keep seeing the previous block's commit time.
+        # and must keep seeing the previous block's commit time.  The
+        # front end is called only from the commit index its last call
+        # returned: before it, the runahead is blocked or the FTQ full.
         trace = self.trace
         nin_arr = trace.ninstr
         b0_arr = trace.block0
@@ -291,9 +293,11 @@ class FrontEndSimulator(SimComponent):
         stall_itlb = 0.0
         stall_fetch = 0.0
         stall_mispredict = 0.0
+        wake = start
         # lint: hot-begin
         for i in range(start, end):
-            advance(i, now)
+            if i >= wake:
+                wake = advance(i, now)
             nin = nin_arr[i]
             page = page_arr[i]
             if page != last_page:

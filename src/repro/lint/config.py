@@ -53,6 +53,7 @@ DEFAULT_FENCED_PATHS = (
     "src/repro/cpu/simulator.py",
     "src/repro/frontend/fdip.py",
     "src/repro/core/prefetcher.py",
+    "src/repro/memory/hierarchy.py",
     "src/repro/memory/policies.py",
 )
 

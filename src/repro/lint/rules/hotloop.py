@@ -1,10 +1,14 @@
 """hot-loop: hygiene inside ``# lint: hot-begin``/``hot-end`` fences.
 
-The fenced regions are the three per-commit code paths PR 3 optimized
-(``FrontEndSimulator._run_range``, ``FDIPFrontEnd.advance``,
-``HierarchicalPrefetcher.on_commit``); every statement there executes
-once per committed block, so the 2–3x hot-loop win regresses silently
-if costly idioms creep back in.  Inside a fence the rule flags:
+The fenced regions are the per-commit code paths: the commit loop
+(``FrontEndSimulator._run_range``), FDIP's runahead
+(``FDIPFrontEnd.advance``), HP's ``HierarchicalPrefetcher.on_commit``,
+the replacement policies' ``insert_line`` and the prefetch path of
+``repro.memory.hierarchy`` (the ``MemoryHierarchy.prefetch_many`` loop
+and the fill drain ``_drain``).  Every statement there executes once
+per committed block or per prefetch request, so the hot-loop wins
+regress silently if costly idioms creep back in.  Inside a fence the
+rule flags:
 
 * per-iteration allocation — list/dict/set displays, comprehensions,
   generator expressions, lambdas and nested ``def`` (error);

@@ -137,15 +137,15 @@ class EFetchPrefetcher(InstructionPrefetcher):
         predicted = self._table.get(sig)
         if predicted is not None:
             self._table.move_to_end(sig)
-            issue = self.issue
+            blocks = []
             for callee in predicted[: self.lookahead]:
                 fp = self._footprints.get(callee)
                 if fp is None:
-                    self.issue(callee, now, i)
+                    blocks.append(callee)
                     continue
                 self._footprints.move_to_end(callee)
-                for blk in fp.blocks():
-                    issue(blk, now, i)
+                blocks.extend(fp.blocks())
+            self.issue_many(blocks, now)
         # 5. Open a new pending entry for this signature.
         filled: list = []
         self._install(self._table, sig, filled)

@@ -44,17 +44,14 @@ class EIPPrefetcher(InstructionPrefetcher):
 
     # ------------------------------------------------------------------
     def on_commit(self, i: int, now: float) -> None:
-        trace = self.trace
-        pc = trace.pc[i]
-        nin = trace.ninstr[i]
-        b0 = pc >> 6
-        b1 = (pc + nin * 4 - 1) >> 6
+        b0 = self._block0[i]
+        b1 = self._block1[i]
         self._commit_i = i
         if b0 != self._last_block:
-            self._trigger(b0, now, i)
+            self._trigger(b0, now)
             self._history.append((b0, now))
         if b1 != b0:
-            self._trigger(b1, now, i)
+            self._trigger(b1, now)
             self._history.append((b1, now))
         self._last_block = b1
 
@@ -94,15 +91,13 @@ class EIPPrefetcher(InstructionPrefetcher):
             table.move_to_end(source)
 
     # ------------------------------------------------------------------
-    def _trigger(self, block: int, now: float, i: int) -> None:
+    def _trigger(self, block: int, now: float) -> None:
         source = block & ~3
         dsts = self._table.get(source)
         if dsts is None:
             return
         self._table.move_to_end(source)
-        issue = self.issue
-        for dst in dsts:
-            issue(dst, now, i)
+        self.issue_many(dsts, now)
 
     def on_measurement_end(self) -> None:
         table = self._table

@@ -55,15 +55,12 @@ class ManaPrefetcher(InstructionPrefetcher):
 
     # ------------------------------------------------------------------
     def on_commit(self, i: int, now: float) -> None:
-        trace = self.trace
-        pc = trace.pc[i]
-        nin = trace.ninstr[i]
-        b0 = pc >> 6
-        b1 = (pc + nin * 4 - 1) >> 6
+        b0 = self._block0[i]
+        b1 = self._block1[i]
         if b0 != self._last_block:
-            self._observe(b0, now, i)
+            self._observe(b0, now)
         if b1 != b0:
-            self._observe(b1, now, i)
+            self._observe(b1, now)
         self._last_block = b1
 
     def on_mispredict(self, i: int) -> None:
@@ -74,7 +71,7 @@ class ManaPrefetcher(InstructionPrefetcher):
             self._issued_upto = None
 
     # ------------------------------------------------------------------
-    def _observe(self, block: int, now: float, i: int) -> None:
+    def _observe(self, block: int, now: float) -> None:
         base = block & ~_REGION_MASK
         if base == self._cur_base:
             self._cur_vec |= 1 << (block & _REGION_MASK)
@@ -83,7 +80,7 @@ class ManaPrefetcher(InstructionPrefetcher):
             self._record_region(self._cur_base, self._cur_vec)
         self._cur_base = base
         self._cur_vec = 1 << (block & _REGION_MASK)
-        self._follow(base, now, i)
+        self._follow(base, now)
 
     def _record_region(self, base: int, vec: int) -> None:
         pos = self._head
@@ -96,7 +93,7 @@ class ManaPrefetcher(InstructionPrefetcher):
         self._index[base] = pos
         self._index.move_to_end(base)
 
-    def _follow(self, base: int, now: float, i: int) -> None:
+    def _follow(self, base: int, now: float) -> None:
         """Advance or re-acquire the replay stream at region ``base``."""
         pos = self._stream_pos
         history = self._history
@@ -120,7 +117,7 @@ class ManaPrefetcher(InstructionPrefetcher):
         if start is None:
             start = self._stream_pos
         end = (self._stream_pos + self.lookahead) % self.history_regions
-        issue = self.issue
+        blocks = []
         pos = start
         steps = (end - start) % self.history_regions
         for _ in range(steps):
@@ -132,10 +129,12 @@ class ManaPrefetcher(InstructionPrefetcher):
             rbase, vec = entry
             while vec:
                 low = vec & -vec
-                issue(rbase + low.bit_length() - 1, now, i)
+                blocks.append(rbase + low.bit_length() - 1)
                 vec ^= low
             pos = (pos + 1) % self.history_regions
         self._issued_upto = pos
+        if blocks:
+            self.issue_many(blocks, now)
 
     def on_measurement_end(self) -> None:
         self.stats.extra["mana_index_entries"] = len(self._index)

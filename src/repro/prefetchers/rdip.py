@@ -65,11 +65,11 @@ class RDIPPrefetcher(InstructionPrefetcher):
             self._stack.append(term + 4)
             if len(self._stack) > 64:
                 del self._stack[0]
-            self._new_signature(now, i)
+            self._new_signature(now)
         elif kind == _RET:
             if self._stack:
                 self._stack.pop()
-            self._new_signature(now, i)
+            self._new_signature(now)
 
     def on_miss(self, block: int, i: int, stall: float) -> None:
         misses = self._current_misses
@@ -80,7 +80,7 @@ class RDIPPrefetcher(InstructionPrefetcher):
             self._current_seen.add(block)
 
     # ------------------------------------------------------------------
-    def _new_signature(self, now: float, i: int) -> None:
+    def _new_signature(self, now: float) -> None:
         sig = _signature(tuple(self._stack[-self.signature_depth:]))
         if sig == self._current_sig:
             return
@@ -90,9 +90,7 @@ class RDIPPrefetcher(InstructionPrefetcher):
         recorded = table.get(sig)
         if recorded:
             table.move_to_end(sig)
-            issue = self.issue
-            for block in recorded:
-                issue(block, now, i)
+            self.issue_many(recorded, now)
         # Start recording for this signature (most recent run wins).
         fresh: List[int] = []
         if sig not in table and len(table) >= self.table_entries:
