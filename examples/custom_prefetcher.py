@@ -41,14 +41,11 @@ class NextLinesPrefetcher(InstructionPrefetcher):
         self._last_block = -1
 
     def on_commit(self, i: int, now: float) -> None:
-        trace = self.trace
-        pc = trace.pc[i]
-        block = (pc + trace.ninstr[i] * 4 - 1) >> 6
+        block = self.trace.block1[i]  # the block's last cache line
         if block == self._last_block:
             return
         self._last_block = block
-        for step in range(1, self.depth + 1):
-            self.issue(block + step, now, i)
+        self.issue_many(range(block + 1, block + self.depth + 1), now)
 
 
 def main() -> None:
