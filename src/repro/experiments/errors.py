@@ -37,8 +37,9 @@ be handled.  The hierarchy encodes the policy:
     Validation failures that historically raised plain ``ValueError``.
     Each mixes ``ExperimentError`` with ``ValueError`` so existing
     ``except ValueError`` call sites (and tests) keep working while
-    the error-taxonomy lint rule can prove every raise under
-    ``repro.experiments`` resolves to the structured hierarchy.
+    every exception class defined under ``repro.experiments`` stays
+    inside the structured hierarchy (``tests/test_faults.py``
+    checks it).
 ``PointFailure``
     The terminal record for one sweep point that could not be
     completed after retries.  Collected into
@@ -180,8 +181,9 @@ class InvalidConfigError(ExperimentError, ValueError):
 
 
 class EventStreamError(ExperimentError, ValueError):
-    """A journal or ``--events`` stream failed strict decoding
-    (``read_events(strict=True)`` hit an undecodable line)."""
+    """A journal or ``--events`` stream failed decoding
+    (``read_events`` hit an undecodable line before the last), or a
+    record about to be emitted does not match ``EVENT_SCHEMA``."""
 
 
 class FaultPlanError(ExperimentError, ValueError):

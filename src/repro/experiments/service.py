@@ -49,10 +49,12 @@ EVENT_SCHEMA_VERSION = 2
 
 #: Declarative v2 event schema: kind -> required / optional payload
 #: keys.  The :class:`_Emitter` envelope (``v``, ``seq``, ``event``)
-#: is implicit and not listed.  This table is the single source of
-#: truth the ``event-schema`` lint rule checks every ``emit(...)``
-#: site and consumer against — add the key here *first* when growing
-#: an event, or the emit site becomes a lint error.
+#: is implicit and not listed.  The emitter checks every record
+#: against this table before it reaches a sink, and raises
+#: :class:`~repro.experiments.errors.EventStreamError` for an unknown
+#: kind, a missing required key or an undeclared key — add the key
+#: here *first* when growing an event.  Readers stay tolerant:
+#: :func:`summarize_events` tallies kinds it does not know.
 EVENT_SCHEMA = {
     "begin": {
         "required": ("total", "cached", "preresolved", "poisoned",
@@ -85,9 +87,30 @@ EVENT_SCHEMA = {
 EventSink = Callable[[dict], None]
 
 
+def _check_event(event_type: str, fields: dict) -> None:
+    """Raise :class:`~repro.experiments.errors.EventStreamError` unless
+    ``fields`` is a valid payload of kind ``event_type`` under
+    :data:`EVENT_SCHEMA`."""
+    spec = EVENT_SCHEMA.get(event_type)
+    if spec is None:
+        raise EventStreamError(
+            f"unknown event kind {event_type!r}; declare it in "
+            "EVENT_SCHEMA first")
+    required = spec["required"]
+    missing = [key for key in required if key not in fields]
+    undeclared = sorted(set(fields) - set(required)
+                        - set(spec.get("optional", ())))
+    if missing or undeclared:
+        raise EventStreamError(
+            f"{event_type!r} event does not match EVENT_SCHEMA: "
+            f"missing {missing}, undeclared {undeclared}")
+
+
 class _Emitter:
     """Sequence-numbered event fan-out.
 
+    Every record is checked with :func:`_check_event` first, sinks or
+    not, so a malformed emit fails in every test that reaches it.
     Accepts one sink, a sequence of sinks (the journal plus an
     ``--events`` file, say), or None.  A sink whose ``fsync`` attribute
     is true is durable: its exception is re-raised as
@@ -107,6 +130,7 @@ class _Emitter:
         self.seq = 0
 
     def __call__(self, event_type: str, **fields) -> None:
+        _check_event(event_type, fields)
         if not self.sinks:
             return
         self.seq += 1

@@ -1,22 +1,23 @@
 """Project-specific static analysis (``repro lint``).
 
-Four AST-based rules enforce the invariants the dynamic test suite can
-only spot-check:
+Four AST-based rules guard the simulator's invariants that the dynamic
+test suite can only spot-check:
 
 * ``snapshot-coverage`` — every mutable attribute of a ``SimComponent``
   subclass must be captured by ``state_dict``/``load_state_dict`` and
   restored by ``reset`` (waive derived state with ``# lint: ephemeral``);
 * ``determinism`` — no wall-clock, unseeded RNG, environment reads, or
-  hash/set-order hazards on the simulation path;
-* ``hotloop`` — inside ``# lint: hot-begin``/``hot-end`` fences, no
+  hash/set-order hazards in the simulator packages;
+* ``hot-loop`` — inside ``# lint: hot-begin``/``hot-end`` fences, no
   repeated attribute chains, per-iteration allocation, or global
-  lookups (the hoists PR 3 made must not regress);
-* ``picklesafe`` — nothing unpicklable crosses the sweep worker spawn.
+  lookups;
+* ``crash-ordering`` — inside ``# lint: ordered[...]`` regions, the
+  fsync-before-replace and persist-before-append orders hold.
 
 See ``docs/LINTING.md`` for rule semantics and the waiver syntax.
 """
 
-from repro.lint.config import LintConfig, load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import LintReport, run_lint
 from repro.lint.findings import Finding
 from repro.lint.registry import RULES, rule_names
@@ -26,7 +27,6 @@ __all__ = [
     "LintConfig",
     "LintReport",
     "RULES",
-    "load_config",
     "rule_names",
     "run_lint",
 ]

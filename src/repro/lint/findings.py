@@ -11,7 +11,7 @@ ERROR = "error"
 _SEVERITY_RANK = {WARNING: 1, ERROR: 2}
 
 #: JSON schema version of the ``--format json`` output.
-JSON_VERSION = 1
+JSON_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ def counts(findings: Sequence[Finding]) -> Dict[str, int]:
     return out
 
 
-def format_text(findings: Sequence[Finding], files_scanned: int,
-                cache_hits: int) -> str:
+def format_text(findings: Sequence[Finding], files_scanned: int) -> str:
     lines: List[str] = [
         f"{f.path}:{f.line}:{f.col}: {f.severity} [{f.rule}] {f.message}"
         for f in findings
@@ -55,21 +54,18 @@ def format_text(findings: Sequence[Finding], files_scanned: int,
     c = counts(findings)
     lines.append(
         f"{len(findings)} finding(s) ({c[ERROR]} error(s), "
-        f"{c[WARNING]} warning(s)) in {files_scanned} file(s) "
-        f"({cache_hits} cached)"
+        f"{c[WARNING]} warning(s)) in {files_scanned} file(s)"
     )
     return "\n".join(lines)
 
 
-def format_json(findings: Sequence[Finding], files_scanned: int,
-                cache_hits: int) -> str:
+def format_json(findings: Sequence[Finding], files_scanned: int) -> str:
     return json.dumps(
         {
             "version": JSON_VERSION,
             "findings": [asdict(f) for f in findings],
             "counts": counts(findings),
             "files_scanned": files_scanned,
-            "cache_hits": cache_hits,
         },
         indent=2,
         sort_keys=True,

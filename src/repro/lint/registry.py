@@ -12,10 +12,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.lint.rules import (
     CrashOrderingRule,
     DeterminismRule,
-    ErrorTaxonomyRule,
-    EventSchemaRule,
     HotLoopRule,
-    PickleSafetyRule,
     SnapshotCoverageRule,
 )
 from repro.lint.rules.base import Rule
@@ -26,9 +23,6 @@ RULES: Dict[str, Rule] = {
         SnapshotCoverageRule(),
         DeterminismRule(),
         HotLoopRule(),
-        PickleSafetyRule(),
-        EventSchemaRule(),
-        ErrorTaxonomyRule(),
         CrashOrderingRule(),
     )
 }

@@ -45,7 +45,7 @@ def _comment_tokens(source: str) -> List[Tuple[int, str]]:
         return []
 
 
-def scan_directives(source: str, config: LintConfig) -> Directives:
+def scan_directives(source: str) -> Directives:
     """Parse every ``# lint:`` comment in a file (1-indexed lines)."""
     out = Directives()
     open_fence: Optional[int] = None
@@ -56,14 +56,13 @@ def scan_directives(source: str, config: LintConfig) -> Directives:
             continue
         kind, payload = m.group(1), m.group(2)
         if kind == "ephemeral":
-            if "ephemeral" in config.waivers:
-                out.ephemeral.add(lineno)
+            out.ephemeral.add(lineno)
         elif kind == "allow":
             if not payload:
                 out.problems.append(
                     (lineno, "allow waiver needs rule names: "
                              "# lint: allow[rule, ...]"))
-            elif "allow" in config.waivers:
+            else:
                 rules = {r.strip() for r in payload.split(",") if r.strip()}
                 out.allows.setdefault(lineno, set()).update(rules)
         elif kind == "hot-begin":
@@ -128,13 +127,9 @@ class Rule:
     def analyze(self, ctx: FileContext) -> dict:
         raise NotImplementedError
 
-    def report(self, payloads: Dict[str, dict], config: LintConfig,
-               graph=None) -> list:
-        """Default: findings were emitted inline during ``analyze``.
-
-        ``graph`` is the shared :class:`repro.lint.project.ProjectGraph`
-        built once per run; per-file rules may ignore it.
-        """
+    def report(self, payloads: Dict[str, dict],
+               config: LintConfig) -> list:
+        """Default: findings were emitted inline during ``analyze``."""
         from repro.lint.findings import Finding
         out = []
         for path in sorted(payloads):
@@ -145,7 +140,7 @@ class Rule:
 
 def finding_dict(rule: str, path: str, line: int, col: int, message: str,
                  severity: str) -> dict:
-    """JSON-serializable finding payload (cached per file)."""
+    """Finding payload, turned into a :class:`Finding` by ``report``."""
     return {"rule": rule, "path": path, "line": line, "col": col,
             "message": message, "severity": severity}
 

@@ -1,15 +1,16 @@
 """determinism: no nondeterminism sources on the simulation path.
 
-Applies only to files under the configured ``determinism-paths``
-(``src/repro/{cpu,frontend,prefetchers,workloads}``).  Forbidden:
+Applies only to files under ``DETERMINISM_PATHS`` (:mod:`repro.lint.config`):
+the simulator packages ``callgraph``, ``core``, ``cpu``, ``frontend``,
+``isa``, ``memory``, ``prefetchers`` and ``workloads``.  Forbidden:
 
 * wall-clock reads — any ``time.*`` call, ``datetime.now/utcnow``,
   ``date.today``;
 * unseeded randomness — module-level ``random.*`` calls, ``random.Random()``
   with no seed, ``numpy.random.*`` except explicitly seeded constructors,
   and ``os.urandom``;
-* environment reads (``os.environ`` / ``os.getenv``) outside the
-  configured ``env-ok-paths`` — configuration belongs in config or the
+* environment reads (``os.environ`` / ``os.getenv``) outside
+  ``ENV_OK_PATHS`` — configuration belongs in config or the
   experiment layer, not on the simulation path;
 * iteration over ``set`` literals/comprehensions (``for x in {...}``):
   set order is insertion-and-hash dependent and must not reach results;

@@ -18,7 +18,7 @@ rule flags:
 * repeated ``self.x.y`` attribute chains — two attribute lookups per
   occurrence that a single local binding would pay once (warning).
 
-Files listed under ``fenced-paths`` in ``[tool.repro.lint]`` must
+Files listed in ``FENCED_PATHS`` (:mod:`repro.lint.config`) must
 contain at least one fence: deleting a fence silently disables the
 checks, so its absence is itself an error.
 """
@@ -112,7 +112,7 @@ class HotLoopRule(Rule):
             flag(line, 0, message)
         fences = ctx.directives.fences
         if ctx.path in ctx.config.fenced_paths and not fences:
-            flag(1, 0, "file is listed in [tool.repro.lint] fenced-paths "
+            flag(1, 0, "file is listed in the lint config's fenced-paths "
                        "but contains no '# lint: hot-begin' fence — the "
                        "hot-loop hygiene checks are silently off")
         if not fences:

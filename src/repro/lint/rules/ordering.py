@@ -16,7 +16,7 @@ Those sequences are marked in source with ``# lint: ordered[template]``
 … ``# lint: ordered-end``; inside each region the rule classifies
 calls (write/dump, fsync, replace/rename, cache-put/seed, emit/append)
 and verifies the template's ops are all present and ordered.  Files
-listed under ``ordered-paths`` must contain at least one region —
+listed in ``ORDERED_PATHS`` (:mod:`repro.lint.config`) must contain at least one region —
 deleting the annotation (and with it the check) is itself an error,
 exactly like the hot-loop fences.
 """
@@ -24,7 +24,7 @@ exactly like the hot-loop fences.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.lint.findings import ERROR
 from repro.lint.rules.base import FileContext, Rule, dotted_name, finding_dict
@@ -70,7 +70,7 @@ class CrashOrderingRule(Rule):
 
         regions = ctx.directives.ordered
         if ctx.path in ctx.config.ordered_paths and not regions:
-            flag(1, "file is listed in [tool.repro.lint] ordered-paths "
+            flag(1, "file is listed in the lint config's ordered-paths "
                     "but contains no '# lint: ordered[...]' region — "
                     "the crash-ordering checks are silently off")
         for lo, hi, template in regions:

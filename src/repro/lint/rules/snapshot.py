@@ -26,8 +26,8 @@ Derived state that is provably rebuilt (FDIP's trace-derived branch
 prediction unit, bound decode tables) is waived with ``# lint: ephemeral`` on — or
 directly above — any of its assignment sites.
 
-The per-file output is a pure class index, so results cache cleanly;
-hierarchy resolution happens at report time over the whole run.
+The per-file output is a pure class index; hierarchy resolution
+happens at report time over the whole run.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ class SnapshotCoverageRule(Rule):
         return {"classes": classes, "findings": []}
 
     # ------------------------------------------------------------------
-    def report(self, payloads: Dict[str, dict], config: LintConfig,
-               graph=None) -> List[Finding]:
+    def report(self, payloads: Dict[str, dict],
+               config: LintConfig) -> List[Finding]:
         # name -> (path, info); simple names are unique in this repo.
         index: Dict[str, Tuple[str, dict]] = {}
         for path in sorted(payloads):

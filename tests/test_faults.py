@@ -6,13 +6,18 @@ entries completes under ``keep_going``, and every surviving point's
 SimStats are bit-identical to a fault-free run.
 """
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import repro.experiments
 from repro.cli import build_parser, main
 from repro.experiments import diskcache, runner
 from repro.experiments.errors import (
+    ExperimentError,
     PointFailure,
     PointTimeoutError,
     TransientError,
@@ -362,6 +367,25 @@ class TestSweepReport:
         assert flaky.kind == "transient"
         hard = PointFailure.from_error("w/p", 3, ValueError("bad"), 1)
         assert hard.kind == "error"
+
+
+class TestErrorTaxonomy:
+    def test_every_experiments_exception_is_in_the_taxonomy(self):
+        """``except ExperimentError`` at the CLI boundary is complete
+        only if every exception class defined under
+        ``repro.experiments`` derives from it."""
+        package = repro.experiments
+        outside = []
+        for info in pkgutil.walk_packages(package.__path__,
+                                          package.__name__ + "."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if inspect.isclass(obj) and \
+                        issubclass(obj, BaseException) and \
+                        obj.__module__ == module.__name__ and \
+                        not issubclass(obj, ExperimentError):
+                    outside.append(f"{info.name}.{name}")
+        assert outside == []
 
 
 # ----------------------------------------------------------------------

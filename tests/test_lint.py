@@ -2,7 +2,7 @@
 
 Each rule gets a positive (violating), negative (clean), and waived
 fixture tree; the engine sections cover the JSON schema, exit codes,
-rule selection, and the per-file result cache.  The final section runs
+rule selection, and scope passed as ``LintConfig``.  The final section runs
 the real linter over the real ``src/repro`` tree — the same blocking
 check CI runs — so a regression anywhere in the repo fails here first.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.lint import run_lint
 from repro.lint.cli import main as lint_main
-from repro.lint.config import LintConfig, load_config
+from repro.lint.config import DETERMINISM_PATHS, LintConfig
 from repro.lint.findings import ERROR, WARNING
 from repro.lint.registry import rule_names
 
@@ -33,7 +33,6 @@ def project(tmp_path, files, pyproject="[project]\nname = 'fixture'\n"):
 
 
 def lint(tmp_path, **kwargs):
-    kwargs.setdefault("use_cache", False)
     return run_lint(root=tmp_path, **kwargs)
 
 
@@ -243,6 +242,56 @@ class TestSnapshotCoverage:
         assert "Orphan.extra" in f.message
         assert f.path == "src/repro/child.py"
 
+    def test_cross_file_base_edit_reanalyzes(self, tmp_path):
+        """Editing only base.py changes the verdict on child.py: the
+        hierarchy is resolved from every file on every run."""
+        narrow_base = textwrap.dedent("""\
+            class NarrowBase(SimComponent):
+                def __init__(self):
+                    self.x = 0
+                def tick(self):
+                    self.x += 1
+                def state_dict(self):
+                    return {"x": self.x}
+                def load_state_dict(self, state):
+                    self.x = state["x"]
+                def reset(self):
+                    self.x = 0
+            """)
+        wide_base = textwrap.dedent("""\
+            class NarrowBase(SimComponent):
+                def __init__(self):
+                    self.x = 0
+                def tick(self):
+                    self.x += 1
+                def state_dict(self):
+                    return dict(vars(self))
+                def load_state_dict(self, state):
+                    self.__dict__.update(state)
+                def reset(self):
+                    for key in vars(self):
+                        setattr(self, key, 0)
+            """)
+        child = """\
+            from repro.base import NarrowBase
+
+            class Orphan(NarrowBase):
+                def __init__(self):
+                    super().__init__()
+                    self.extra = 0
+                def bump(self):
+                    self.extra += 1
+            """
+        project(tmp_path, {"src/repro/base.py": narrow_base,
+                           "src/repro/child.py": child})
+        first = lint(tmp_path)
+        assert [f.path for f in first.findings] == ["src/repro/child.py"]
+        assert "Orphan.extra" in first.findings[0].message
+
+        # Widen only the base snapshot; child.py's bytes are untouched.
+        (tmp_path / "src/repro/base.py").write_text(wide_base)
+        assert lint(tmp_path).findings == []
+
     def test_non_components_are_ignored(self, tmp_path):
         project(tmp_path, {"src/repro/plain.py": """\
             class Helper:
@@ -442,53 +491,7 @@ class TestHotLoop:
 
 
 # ======================================================================
-# pickle-safety
-# ======================================================================
-class TestPickleSafety:
-    def test_unpicklable_boundary_args_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            from multiprocessing import Process
-
-            def launch(path):
-                def helper(x):
-                    return x
-
-                p = Process(target=lambda: 1,
-                            args=(open(path), helper))
-                return p
-            """})
-        report = lint(tmp_path, rules=["pickle-safety"])
-        messages = " | ".join(f.message for f in report.findings)
-        assert len(report.findings) == 3
-        assert "lambda" in messages
-        assert "open() handle" in messages
-        assert "'helper'" in messages
-
-    def test_module_level_target_is_clean(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            from multiprocessing import Process
-
-            def work(n):
-                return n * 2
-
-            def launch():
-                return Process(target=work, args=(3,))
-            """})
-        assert lint(tmp_path, rules=["pickle-safety"]).findings == []
-
-    def test_non_boundary_calls_are_ignored(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def apply(fn):
-                return fn()
-
-            def run():
-                return apply(lambda: 1)
-            """})
-        assert lint(tmp_path, rules=["pickle-safety"]).findings == []
-
-
-# ======================================================================
-# Engine: config, cache, output formats, exit codes
+# Engine: scope, output formats, exit codes
 # ======================================================================
 CLEAN = {"src/repro/mod.py": "X = 1\n"}
 DIRTY = {"src/repro/mod.py": """\
@@ -515,34 +518,25 @@ class TestEngine:
         with pytest.raises(ValueError, match="unknown rule"):
             lint(tmp_path, rules=["nope"])
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        project(tmp_path, CLEAN,
-                pyproject="[tool.repro.lint]\nbogus = ['x']\n")
-        with pytest.raises(ValueError, match="bogus"):
-            load_config(tmp_path)
-
-    def test_config_table_overrides(self, tmp_path):
+    def test_config_overrides_scope(self, tmp_path):
         project(tmp_path, {"src/repro/other.py": "import time\n"
-                                                 "t = time.time()\n"},
-                pyproject="[tool.repro.lint]\n"
-                          "determinism-paths = ['src/repro']\n"
-                          "fenced-paths = []\n")
-        report = lint(tmp_path)
+                                                 "t = time.time()\n"})
+        assert lint(tmp_path).findings == []
+        config = LintConfig(determinism_paths=("src/repro",))
+        report = lint(tmp_path, config=config)
         assert rules_hit(report) == ["determinism"]
 
     def test_explicit_paths_override_config(self, tmp_path):
         project(tmp_path, dict(DIRTY, **{
             "scripts/helper.py": "Y = 2\n"}))
-        report = run_lint(paths=[tmp_path / "scripts"], root=tmp_path,
-                          use_cache=False)
+        report = run_lint(paths=[tmp_path / "scripts"], root=tmp_path)
         assert report.files_scanned == 1
         assert report.findings == []
 
     def test_missing_path_raises(self, tmp_path):
         project(tmp_path, CLEAN)
         with pytest.raises(FileNotFoundError):
-            run_lint(paths=[tmp_path / "no/such/dir"], root=tmp_path,
-                     use_cache=False)
+            run_lint(paths=[tmp_path / "no/such/dir"], root=tmp_path)
 
     def test_syntax_error_becomes_finding(self, tmp_path):
         project(tmp_path, {"src/repro/bad.py": "def broken(:\n"})
@@ -550,22 +544,6 @@ class TestEngine:
         assert len(report.findings) == 1
         f = report.findings[0]
         assert f.rule == "parse" and f.severity == ERROR
-
-    def test_cache_roundtrip_and_invalidation(self, tmp_path):
-        project(tmp_path, dict(DIRTY, **CLEAN,
-                               **{"src/repro/extra.py": "Z = 3\n"}))
-        first = run_lint(root=tmp_path)
-        assert first.cache_hits == 0
-        assert (tmp_path / ".repro-lint-cache.json").is_file()
-
-        second = run_lint(root=tmp_path)
-        assert second.cache_hits == second.files_scanned == 2
-        assert [f.message for f in second.findings] == \
-            [f.message for f in first.findings]
-
-        (tmp_path / "src/repro/extra.py").write_text("Z = 4\n")
-        third = run_lint(root=tmp_path)
-        assert third.cache_hits == 1
 
     def test_findings_are_sorted_and_stable(self, tmp_path):
         project(tmp_path, {
@@ -580,20 +558,18 @@ class TestEngine:
 class TestCli:
     def test_json_schema_and_exit_zero(self, tmp_path, capsys):
         project(tmp_path, CLEAN)
-        rc = lint_main(["--root", str(tmp_path), "--format", "json",
-                        "--no-cache"])
+        rc = lint_main(["--root", str(tmp_path), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["findings"] == []
         assert payload["counts"] == {"error": 0, "warning": 0}
         assert payload["files_scanned"] == 1
-        assert payload["cache_hits"] == 0
+        assert "cache_hits" not in payload
 
     def test_findings_exit_nonzero_with_locations(self, tmp_path, capsys):
         project(tmp_path, DIRTY)
-        rc = lint_main(["--root", str(tmp_path), "--format", "json",
-                        "--no-cache"])
+        rc = lint_main(["--root", str(tmp_path), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 1
         (f,) = payload["findings"]
@@ -614,280 +590,31 @@ class TestCli:
                     return total
             """})
         root = str(tmp_path)
-        assert lint_main(["--root", root, "--no-cache"]) == 1
+        assert lint_main(["--root", root]) == 1
         capsys.readouterr()
-        assert lint_main(["--root", root, "--no-cache",
-                          "--fail-on", "error"]) == 0
+        assert lint_main(["--root", root, "--fail-on", "error"]) == 0
 
     def test_usage_error_exit_two(self, tmp_path, capsys):
         project(tmp_path, CLEAN)
-        rc = lint_main(["--root", str(tmp_path), "--no-cache",
-                        "no/such/path"])
+        rc = lint_main(["--root", str(tmp_path), "no/such/path"])
         assert rc == 2
         assert "repro lint:" in capsys.readouterr().err
 
     def test_text_format_summary_line(self, tmp_path, capsys):
         project(tmp_path, DIRTY)
-        lint_main(["--root", str(tmp_path), "--no-cache"])
+        lint_main(["--root", str(tmp_path)])
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0].startswith("src/repro/mod.py:4:")
-        assert out[-1].endswith("in 1 file(s) (0 cached)")
+        assert out[-1].endswith("in 1 file(s)")
 
     def test_output_file_keeps_text_summary_on_stdout(self, tmp_path,
                                                       capsys):
         project(tmp_path, DIRTY)
         out_file = tmp_path / "lint.json"
-        lint_main(["--root", str(tmp_path), "--no-cache",
+        lint_main(["--root", str(tmp_path),
                    "--format", "json", "--output", str(out_file)])
         assert len(json.loads(out_file.read_text())["findings"]) == 1
         assert "file(s)" in capsys.readouterr().out
-
-
-# ======================================================================
-# event-schema
-# ======================================================================
-EVENT_PYPROJECT = """\
-[project]
-name = 'fixture'
-[tool.repro.lint]
-event-schema-table = 'src/repro/svc.py::EVENT_SCHEMA'
-event-consumer-paths = ['src/repro/svc.py', 'src/repro/consume.py']
-event-exhaustive-consumers = ['summarize']
-"""
-
-EVENT_TABLE = """\
-EVENT_SCHEMA = {
-    "begin": {"required": ("total",), "optional": ("run_id",)},
-    "end": {"required": ("status",)},
-}
-"""
-
-
-class TestEventSchema:
-    def lint_events(self, tmp_path, svc_extra="", consume=None):
-        files = {"src/repro/svc.py":
-                 EVENT_TABLE + textwrap.dedent(svc_extra)}
-        if consume is not None:
-            files["src/repro/consume.py"] = consume
-        project(tmp_path, files, pyproject=EVENT_PYPROJECT)
-        return lint(tmp_path, rules=["event-schema"])
-
-    def test_conforming_emits_are_clean(self, tmp_path):
-        report = self.lint_events(tmp_path, """\
-
-            def run(emit):
-                emit("begin", total=3, run_id="r1")
-                emit("end", status="ok")
-            """)
-        assert report.findings == []
-
-    def test_unknown_kind_flagged(self, tmp_path):
-        report = self.lint_events(tmp_path, """\
-
-            def run(emit):
-                emit("bogus", total=3)
-            """)
-        assert len(report.findings) == 1
-        assert "unknown event kind 'bogus'" in report.findings[0].message
-
-    def test_missing_required_key_flagged(self, tmp_path):
-        report = self.lint_events(tmp_path, """\
-
-            def run(emit):
-                emit("begin", run_id="r1")
-            """)
-        assert len(report.findings) == 1
-        assert "missing required key(s): total" in \
-            report.findings[0].message
-
-    def test_undeclared_key_flagged(self, tmp_path):
-        report = self.lint_events(tmp_path, """\
-
-            def run(emit):
-                emit("begin", total=1, color="red")
-            """)
-        assert len(report.findings) == 1
-        assert "undeclared key(s): color" in report.findings[0].message
-
-    def test_splat_skips_required_check(self, tmp_path):
-        report = self.lint_events(tmp_path, """\
-
-            def run(emit, info):
-                emit("begin", **info)
-            """)
-        assert report.findings == []
-
-    def test_consumer_unknown_kind_flagged(self, tmp_path):
-        report = self.lint_events(tmp_path, consume="""\
-            def dispatch(event):
-                kind = event.get("event")
-                if kind == "begun":
-                    return 1
-                return 0
-            """)
-        assert len(report.findings) == 1
-        assert "dispatches on event kind 'begun'" in \
-            report.findings[0].message
-
-    def test_exhaustive_consumer_missing_kind_flagged(self, tmp_path):
-        report = self.lint_events(tmp_path, consume="""\
-            def summarize(events):
-                for e in events:
-                    k = e["event"]
-                    if k == "begin":
-                        pass
-            """)
-        assert len(report.findings) == 1
-        assert "missing: end" in report.findings[0].message
-
-    def test_non_literal_table_is_schema_error(self, tmp_path):
-        project(tmp_path, {
-            "src/repro/svc.py": "EVENT_SCHEMA = make_schema()\n"},
-            pyproject=EVENT_PYPROJECT)
-        report = lint(tmp_path, rules=["event-schema"])
-        assert len(report.findings) == 1
-        assert "not a literal dict" in report.findings[0].message
-
-    def test_rule_inert_without_table_in_scan_set(self, tmp_path):
-        project(tmp_path, {"src/repro/consume.py": """\
-            def run(emit):
-                emit("whatever", x=1)
-            """},
-            pyproject="[project]\nname = 'fixture'\n"
-                      "[tool.repro.lint]\n"
-                      "event-schema-table = "
-                      "'src/repro/absent.py::EVENT_SCHEMA'\n"
-                      "event-consumer-paths = ['src/repro/consume.py']\n")
-        assert lint(tmp_path, rules=["event-schema"]).findings == []
-
-
-# ======================================================================
-# error-taxonomy
-# ======================================================================
-TAXONOMY_PYPROJECT = """\
-[project]
-name = 'fixture'
-[tool.repro.lint]
-taxonomy-paths = ['src/repro']
-"""
-
-TAXONOMY_ERRORS = """\
-class ExperimentError(Exception):
-    pass
-
-
-class GoodError(ExperimentError, ValueError):
-    pass
-"""
-
-
-class TestErrorTaxonomy:
-    def lint_tax(self, tmp_path, mod):
-        project(tmp_path, {
-            "src/repro/errors.py": TAXONOMY_ERRORS,
-            "src/repro/mod.py": mod,
-        }, pyproject=TAXONOMY_PYPROJECT)
-        return lint(tmp_path, rules=["error-taxonomy"])
-
-    def test_builtin_raise_flagged(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            def bad():
-                raise ValueError("nope")
-            """)
-        assert len(report.findings) == 1
-        assert "builtin ValueError" in report.findings[0].message
-
-    def test_taxonomy_mixin_is_clean(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            from repro.errors import GoodError
-
-            def ok():
-                raise GoodError("fine")
-            """)
-        assert report.findings == []
-
-    def test_foreign_class_flagged(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            class LocalError(Exception):
-                pass
-
-            def bad():
-                raise LocalError("nope")
-            """)
-        assert len(report.findings) == 1
-        assert "not a ExperimentError subclass" in \
-            report.findings[0].message
-
-    def test_factory_followed_one_hop(self, tmp_path):
-        clean = self.lint_tax(tmp_path, """\
-            from repro.errors import GoodError
-
-            def make(msg):
-                return GoodError(msg)
-
-            def use():
-                raise make("x")
-            """)
-        assert clean.findings == []
-
-    def test_factory_returning_builtin_flagged(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            def make(msg):
-                return ValueError(msg)
-
-            def use():
-                raise make("x")
-            """)
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert "factory make" in f.message and f.line == 2
-
-    def test_exempt_builtins_pass(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            def todo():
-                raise NotImplementedError("later")
-            """)
-        assert report.findings == []
-
-    def test_swallowed_interrupt_flagged(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            def guard(task):
-                try:
-                    task()
-                except KeyboardInterrupt:
-                    pass
-            """)
-        assert len(report.findings) == 1
-        assert "swallows KeyboardInterrupt" in \
-            report.findings[0].message
-
-    def test_reraising_handler_is_clean(self, tmp_path):
-        report = self.lint_tax(tmp_path, """\
-            def guard(task):
-                try:
-                    task()
-                except KeyboardInterrupt:
-                    task = None
-                    raise
-            """)
-        assert report.findings == []
-
-    def test_rule_inert_without_taxonomy_root(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def bad():
-                raise ValueError("nope")
-            """}, pyproject=TAXONOMY_PYPROJECT)
-        assert lint(tmp_path, rules=["error-taxonomy"]).findings == []
-
-    def test_outside_taxonomy_paths_exempt(self, tmp_path):
-        # Default taxonomy-paths is src/repro/experiments; a raise
-        # elsewhere is out of scope.
-        project(tmp_path, {
-            "src/repro/errors.py": TAXONOMY_ERRORS,
-            "src/repro/mod.py": "def bad():\n"
-                                "    raise ValueError('nope')\n",
-        })
-        assert lint(tmp_path, rules=["error-taxonomy"]).findings == []
 
 
 # ======================================================================
@@ -971,11 +698,9 @@ class TestCrashOrdering:
         assert "before persisting" in report.findings[0].message
 
     def test_ordered_path_without_region_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": "X = 1\n"},
-                pyproject="[project]\nname = 'fixture'\n"
-                          "[tool.repro.lint]\n"
-                          "ordered-paths = ['src/repro/mod.py']\n")
-        report = lint(tmp_path, rules=["crash-ordering"])
+        project(tmp_path, {"src/repro/mod.py": "X = 1\n"})
+        report = lint(tmp_path, rules=["crash-ordering"],
+                      config=LintConfig(ordered_paths=("src/repro/mod.py",)))
         assert len(report.findings) == 1
         assert "contains no '# lint: ordered[...]'" in \
             report.findings[0].message
@@ -994,130 +719,12 @@ class TestCrashOrdering:
 
 
 # ======================================================================
-# dependency-aware cache (the v1 staleness regression)
-# ======================================================================
-class TestDepAwareCache:
-    def test_cross_file_dependency_edit_reanalyzes(self, tmp_path):
-        """Editing only base.py must re-analyze child.py: the v1 cache
-        keyed on child.py's own bytes and served stale cross-file
-        findings."""
-        narrow_base = textwrap.dedent("""\
-            class NarrowBase(SimComponent):
-                def __init__(self):
-                    self.x = 0
-                def tick(self):
-                    self.x += 1
-                def state_dict(self):
-                    return {"x": self.x}
-                def load_state_dict(self, state):
-                    self.x = state["x"]
-                def reset(self):
-                    self.x = 0
-            """)
-        wide_base = textwrap.dedent("""\
-            class NarrowBase(SimComponent):
-                def __init__(self):
-                    self.x = 0
-                def tick(self):
-                    self.x += 1
-                def state_dict(self):
-                    return dict(vars(self))
-                def load_state_dict(self, state):
-                    self.__dict__.update(state)
-                def reset(self):
-                    for key in vars(self):
-                        setattr(self, key, 0)
-            """)
-        child = """\
-            from repro.base import NarrowBase
-
-            class Orphan(NarrowBase):
-                def __init__(self):
-                    super().__init__()
-                    self.extra = 0
-                def bump(self):
-                    self.extra += 1
-            """
-        project(tmp_path, {"src/repro/base.py": narrow_base,
-                           "src/repro/child.py": child})
-        first = run_lint(root=tmp_path)
-        assert any("Orphan.extra" in f.message for f in first.findings)
-
-        warm = run_lint(root=tmp_path)
-        assert warm.cache_hits == warm.files_scanned == 2
-
-        # Widen only the base snapshot; child.py's bytes are untouched.
-        (tmp_path / "src/repro/base.py").write_text(wide_base)
-        third = run_lint(root=tmp_path)
-        assert third.cache_hits == 0  # dependency fingerprint moved
-        assert third.findings == []
-
-    def test_rule_source_fingerprint_in_cache_key(self, tmp_path,
-                                                  monkeypatch):
-        import repro.lint.engine as engine_mod
-
-        project(tmp_path, CLEAN)
-        run_lint(root=tmp_path)
-        assert run_lint(root=tmp_path).cache_hits == 1
-        # Simulate an edit to a rule module: the memoized fingerprint
-        # changes, so every cached payload must be discarded.
-        monkeypatch.setattr(engine_mod, "_RULE_SOURCES_FP", "edited")
-        assert run_lint(root=tmp_path).cache_hits == 0
-
-
-# ======================================================================
-# --changed
-# ======================================================================
-class TestChangedOnly:
-    def git(self, tmp_path, *args):
-        import subprocess
-        subprocess.run(["git", *args], cwd=tmp_path, check=True,
-                       capture_output=True)
-
-    def test_changed_narrows_to_edited_files(self, tmp_path, capsys):
-        project(tmp_path, {
-            "src/repro/cpu/a.py": "import time\nt = time.time()\n",
-            "src/repro/cpu/b.py": "Y = 1\n",
-        })
-        self.git(tmp_path, "init", "-q")
-        self.git(tmp_path, "config", "user.email", "t@example.com")
-        self.git(tmp_path, "config", "user.name", "t")
-        self.git(tmp_path, "add", ".")
-        self.git(tmp_path, "commit", "-qm", "seed")
-        root = str(tmp_path)
-
-        # Warm the cache so unchanged files are not re-analyzed.
-        lint_main(["--root", root])
-        capsys.readouterr()
-
-        # Edit only b.py; a.py's pre-existing finding must drop out of
-        # a --changed report while b.py's new one stays.
-        (tmp_path / "src/repro/cpu/b.py").write_text(
-            "import time\nu = time.time()\n")
-        rc = lint_main(["--root", root, "--changed",
-                        "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert [f["path"] for f in payload["findings"]] == \
-            ["src/repro/cpu/b.py"]
-
-    def test_outside_git_falls_back_to_full_report(self, tmp_path,
-                                                   capsys):
-        project(tmp_path, DIRTY)
-        rc = lint_main(["--root", str(tmp_path), "--no-cache",
-                        "--changed", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert payload["findings"]  # full report, not an empty one
-
-
-# ======================================================================
 # The real tree
 # ======================================================================
 class TestRealTree:
     def test_repository_is_lint_clean(self):
         """The blocking CI invariant: HEAD has zero findings."""
-        report = run_lint(root=REPO_ROOT, use_cache=False)
+        report = run_lint(root=REPO_ROOT)
         assert report.findings == [], "\n".join(
             f"{f.path}:{f.line}: [{f.rule}] {f.message}"
             for f in report.findings)
@@ -1125,12 +732,14 @@ class TestRealTree:
 
     def test_every_rule_registered(self):
         assert rule_names() == [
-            "crash-ordering", "determinism", "error-taxonomy",
-            "event-schema", "hot-loop", "pickle-safety",
+            "crash-ordering", "determinism", "hot-loop",
             "snapshot-coverage",
         ]
 
-    def test_repo_config_matches_defaults(self):
-        """[tool.repro.lint] restates the defaults explicitly — drift
-        between the table and config.py would silently change scope."""
-        assert load_config(REPO_ROOT) == LintConfig()
+    def test_determinism_scope_matches_code_packages(self):
+        """determinism covers exactly the packages the result cache
+        hashes as simulator code: a package added to one list and not
+        the other would go unchecked or unhashed."""
+        from repro.experiments.runner import _CODE_PACKAGES
+        assert sorted(DETERMINISM_PATHS) == \
+            sorted(f"src/repro/{p}" for p in _CODE_PACKAGES)

@@ -20,11 +20,13 @@ import pytest
 
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
-from repro.experiments.errors import PointFailure
+from repro.experiments.errors import EventStreamError, PointFailure
 from repro.experiments.faults import CRASH, ERROR, HANG, Fault, FaultPlan
 from repro.experiments.manifest import parse_manifest
 from repro.experiments.service import (
+    EVENT_SCHEMA,
     JsonlEventLog,
+    _Emitter,
     format_events_summary,
     read_events,
     summarize_events,
@@ -250,6 +252,44 @@ class TestEvents:
         assert summary["segments"] == 2
         assert summary["completed"] == 2
         assert summary["missing"] == [] and summary["duplicates"] == []
+
+    def test_summarize_knows_every_schema_kind(self):
+        # One record of every declared kind, each with its required
+        # keys: a kind added to EVENT_SCHEMA without a branch in
+        # summarize_events lands in "unknown".
+        events = [dict({key: 0 for key in spec["required"]}, event=kind)
+                  for kind, spec in EVENT_SCHEMA.items()]
+        summary = summarize_events(events)
+        assert summary["unknown"] == {}
+        assert summary["segments"] == 1 and summary["scheduled"] == 1
+
+    @pytest.mark.parametrize("kind,fields,match", [
+        ("begun", {}, "unknown event kind 'begun'"),
+        ("end", {"status": "ok", "completed": 1, "failed": 0},
+         r"missing \['seconds'\]"),
+        ("end", {"status": "ok", "completed": 1, "failed": 0,
+                 "seconds": 0.1, "shard": 0}, r"undeclared \['shard'\]"),
+    ])
+    def test_emitter_rejects_records_off_the_schema(self, kind, fields,
+                                                    match):
+        seen = []
+        for sinks in (None, seen.append):  # checked with or without sinks
+            with pytest.raises(EventStreamError, match=match):
+                _Emitter(sinks)(kind, **fields)
+        assert seen == []
+
+    def test_emitter_accepts_begin_run_info(self, cache_dir):
+        # sweep() merges run_info (run_id, segment) into ``begin``;
+        # both keys are declared optional.
+        events = []
+        sweep(_points()[:1], events=events.append, progress=None,
+              fault_plan=FaultPlan(),
+              run_info={"run_id": "r1", "segment": 2})
+        begin = events[0]
+        assert begin["event"] == "begin"
+        assert (begin["run_id"], begin["segment"]) == ("r1", 2)
+        assert [e["seq"] for e in events] == \
+            list(range(1, len(events) + 1))
 
     def test_sink_exceptions_never_break_the_sweep(self, cache_dir):
         def exploding_sink(event):
