@@ -170,13 +170,6 @@ def cmd_sweep(args) -> int:
     from repro.experiments.service import JsonlEventLog
     from repro.experiments.sweep import grid
 
-    if args.clear_cache:
-        from repro.experiments import diskcache
-
-        runner.clear_run_cache(disk=True)
-        print(f"cleared simulation cache at {diskcache.get_cache().root}")
-        if not (args.workloads or args.manifest):
-            return 0
     if args.point_timeout is not None and args.jobs < 2:
         print("--point-timeout needs --jobs >= 2: with --jobs 1 points "
               "run in-process, where a running point cannot be killed",
@@ -347,13 +340,13 @@ def cmd_sweep(args) -> int:
     simulated = s.simulations - before.simulations
     disk = s.disk_hits - before.disk_hits
     memory = s.memory_hits - before.memory_hits
-    corrupt = s.cache_corrupt - before.cache_corrupt
-    refused = s.write_refusals - before.write_refusals
+    corrupt = s.corrupt - before.corrupt
+    refused = s.refused - before.refused
     summary = (f"\n{len(results)}/{len(points)} points in {elapsed:.1f}s "
                f"with --jobs {args.jobs}: {simulated} simulated, "
                f"{disk} disk hits, {memory} memory hits")
     if corrupt:
-        summary += f", {corrupt} corrupt cache entries quarantined"
+        summary += f", {corrupt} corrupt cache entries recomputed"
     if refused:
         summary += (f", {refused} cache write(s) refused "
                     "(volume nearly full)")
@@ -611,11 +604,10 @@ def cmd_manifest(args) -> int:
 def cmd_cache(args) -> int:
     from repro.experiments import diskcache
 
-    cache = diskcache.get_cache()
-    stores = (("results", cache), ("warmup", diskcache.get_warmup_cache()),
-              ("traces", diskcache.get_trace_cache()))
+    stores = diskcache.stores()
+    cache = stores["result"]
     if args.action == "info":
-        for title, store in stores:
+        for title, store in stores.items():
             s = store.stats()
             print(f"{title}: {s['entries']} entries, {s['bytes']} bytes, "
                   f"{s['quarantined']} quarantined, {s['shard_dirs']} "
@@ -628,7 +620,7 @@ def cmd_cache(args) -> int:
                   "REPRO_CACHE_MIN_FREE)")
         return 0
     if args.action == "compact":
-        for title, store in stores:
+        for title, store in stores.items():
             report = store.compact(
                 purge_quarantined=not args.keep_quarantined)
             print(f"{title}: {report.describe()}")
@@ -702,9 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: 1 = run points in-process)")
     sw.add_argument("--no-cache", action="store_true",
                     help="ignore and do not update the result caches")
-    sw.add_argument("--clear-cache", action="store_true",
-                    help="clear the on-disk simulation cache first "
-                         "(with no workloads: clear and exit)")
     sw.add_argument("--max-retries", type=int, default=2,
                     help="retries per point after a worker crash, "
                          "timeout, or transient fault (default: 2)")

@@ -22,8 +22,6 @@ from repro.experiments.runner import (
     run_prefetcher,
 )
 from repro.experiments.errors import (
-    CorruptArtifactError,
-    DiskFullError,
     ExperimentError,
     PointFailure,
     JournalError,
@@ -92,8 +90,6 @@ __all__ = [
     "TransientError",
     "WorkerCrashError",
     "PointTimeoutError",
-    "CorruptArtifactError",
-    "DiskFullError",
     "SweepInterrupted",
     "PointFailure",
     "Fault",

@@ -1,42 +1,55 @@
-"""Content-addressed on-disk store for simulation results.
+"""The on-disk artifact store: one table of checksummed pickle stores.
 
 The per-process memoization in :mod:`repro.experiments.runner` dies
-with the process, so every fresh benchmark invocation used to pay for
-the whole §6 grid again.  This module persists each
-(workload × prefetcher × config) result under a SHA-256 of its cache
-key so that repeated invocations — and parallel sweep workers — reuse
-finished simulations.
+with the process.  This module persists what a point costs to rebuild
+so that fresh processes (a second benchmark invocation, the workers of
+a parallel sweep) reuse it.  The table has one :class:`ArtifactStore`
+per kind of artifact:
+
+========  ==================  =========================================
+kind      directory           value built from the payload
+========  ==================  =========================================
+result    ``<root>``          ``(SimStats, miss_map)`` of one point
+warmup    ``<root>/warmup``   a simulator resumed from its checkpoint
+trace     ``<root>/traces``   the :class:`~repro.workloads.trace.Trace`
+pass      ``<root>/passes``   a trace's branch-prediction pass
+========  ==================  =========================================
 
 Layout (see docs/SWEEP_CACHE.md)::
 
-    <root>/<digest[:2]>/<digest>.pkl
+    <store>/<digest[:2]>/<digest>.pkl
 
-Entries are sharded into 256 two-hex-character subdirectories so a
-10^5-entry store never puts more than a few hundred files in one
-directory.  Every key carries the simulator's code hash
-(``runner.code_hash()``), so entries written by other code are never
-looked up again (``repro cache clear`` reclaims their space), and
-flat ``<root>/<digest>.pkl`` files left by stores written before
-sharding are never read (``compact()`` drops them).
+where ``digest`` is the SHA-256 of the cache key.  Entries are sharded
+into 256 two-hex-character subdirectories so a 10^5-entry store never
+puts more than a few hundred files in one directory.  Every key
+carries the simulator's code hash (``runner.code_hash()``), so entries
+written by other code are never looked up again (``repro cache clear``
+reclaims their space), and flat ``<store>/<digest>.pkl`` files left by
+stores written before sharding are never read (``compact()`` drops
+them).
 
 Each file is a pickled *envelope* wrapping the pickled payload bytes
 with their SHA-256::
 
     {"sha256": "<hex digest of payload bytes>", "payload": b"..."}
 
-where the inner payload is the caller's dict::
+where the inner payload is ``{"schema": SCHEMA_VERSION, "key": <full
+key string>, **fields}``, the fields being the kind's own (``stats``
+and ``miss_map`` for a result, ``state`` for a checkpoint, ``trace``
+for a trace, ``events`` and ``units`` for a pass).
 
-    {"schema": SCHEMA_VERSION, "key": <full key string>,
-     "stats": SimStats.state_dict(), "miss_map": dict | None}
+One policy holds for every kind (:meth:`ArtifactStore.load`): a
+missing entry, or one whose ``schema`` or ``key`` differs, is a
+**miss**; an entry that fails the checksum (it is quarantined, moved
+aside to ``<name>.pkl.corrupt``) or whose payload the kind's validate
+function rejects is **corrupt**.  Either way the caller recomputes the
+artifact and rewrites it.  Corruption is never an exception to the
+caller.  Each store counts its hits, misses, writes, corrupt entries
+and refused writes (:meth:`ArtifactStore.counts`).
 
-Robustness contract (docs/RESILIENCE.md): writes are atomic
-(temp file + fsync + ``os.replace``), so a killed process can never
-leave a half-written entry under a live name; reads verify the
-checksum, and an unreadable, truncated, or bit-flipped file is
-**quarantined** — moved aside to ``<name>.pkl.corrupt`` and reported
-to the registered corruption listeners — then treated as a plain
-miss.  Corruption is never an exception to the caller.  A file that
-is not a checksum envelope is corrupt like any other.
+Writes are atomic (temp file + fsync + ``os.replace``), so a killed
+process can never leave a half-written entry under a live name
+(docs/RESILIENCE.md).
 
 Environment knobs:
 
@@ -47,9 +60,7 @@ Environment knobs:
 ``REPRO_CACHE_MIN_FREE``
     Free-space floor in bytes (default 32 MiB): writes that would land
     on a volume with less headroom than this (or than twice the entry
-    size, whichever is larger) are *refused* — reported to the
-    corruption listeners as a
-    :class:`~repro.experiments.errors.DiskFullError` — rather than
+    size, whichever is larger) are *refused* and counted, rather than
     risk torn writes racing ENOSPC.  ``0`` disables the guard.
 """
 
@@ -63,9 +74,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional
-
-from repro.experiments.errors import CorruptArtifactError, DiskFullError
+from typing import Callable, Dict, Iterator, NamedTuple, Optional
 
 #: Bump whenever the payload layout or the meaning of cached counters
 #: changes; old entries are then ignored (and lazily overwritten).
@@ -75,7 +84,7 @@ SCHEMA_VERSION = 1
 QUARANTINE_SUFFIX = ".corrupt"
 
 #: Shard directories are exactly two lowercase hex characters; nothing
-#: else under the root (``warmup``, ``traces``, stray files) is ever
+#: else under the root (the other kinds, ``runs``, stray files) is ever
 #: touched by compaction.
 _SHARD_DIR = re.compile(r"^[0-9a-f]{2}$")
 
@@ -98,18 +107,6 @@ def min_free_bytes() -> int:
         except ValueError:
             pass
     return DEFAULT_MIN_FREE_BYTES
-
-#: Callables invoked with a :class:`CorruptArtifactError` each time any
-#: DiskCache instance quarantines a file (runner uses this to surface a
-#: ``cache_corrupt`` counter without a dependency cycle).
-_CORRUPTION_LISTENERS: List[Callable[[CorruptArtifactError], None]] = []
-
-
-def add_corruption_listener(
-        listener: Callable[[CorruptArtifactError], None]) -> None:
-    """Register ``listener`` for quarantine events (idempotent)."""
-    if listener not in _CORRUPTION_LISTENERS:
-        _CORRUPTION_LISTENERS.append(listener)
 
 
 def default_cache_dir() -> Path:
@@ -134,9 +131,9 @@ def key_digest(key: str) -> str:
 class DiskCache:
     """A tiny content-addressed, checksummed pickle store.
 
-    Values are opaque payload dicts; schema/key validation lives in the
-    caller (:mod:`repro.experiments.runner`) so this class stays a dumb,
-    crash-tolerant byte store.  What it *does* own is byte integrity:
+    Values are opaque payload dicts; schema/key validation lives in
+    :class:`ArtifactStore` so this class stays a dumb, crash-tolerant
+    byte store.  What it *does* own is byte integrity:
     every entry carries a SHA-256 of its payload bytes, verified on
     read, with corrupt files quarantined instead of served or raised.
     """
@@ -193,9 +190,9 @@ class DiskCache:
         return True, payload
 
     def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad entry aside to ``<name>.corrupt`` and notify
-        listeners; returns None so callers can
-        ``return self._quarantine(...)`` as a miss."""
+        """Move a bad entry aside to ``<name>.corrupt`` and count it;
+        returns None so callers can ``return self._quarantine(...)`` as
+        a miss.  ``reason`` documents the call site."""
         target: Optional[Path] = path.with_name(
             path.name + QUARANTINE_SUFFIX)
         try:
@@ -207,17 +204,12 @@ class DiskCache:
             except OSError:
                 pass
         self.corrupt_count += 1
-        error = CorruptArtifactError(path, reason, quarantined_to=target)
-        for listener in list(_CORRUPTION_LISTENERS):
-            try:
-                listener(error)
-            except Exception:
-                pass  # observability must never break the cache
         return None
 
     # -- write ---------------------------------------------------------
-    def put(self, key: str, payload: dict) -> None:
-        """Atomically persist ``payload`` under ``key``.
+    def put(self, key: str, payload: dict) -> bool:
+        """Atomically persist ``payload`` under ``key``; True when the
+        entry landed.
 
         The payload is pickled, wrapped in a checksum envelope, written
         to a temp file in the same directory, fsynced, then renamed
@@ -228,10 +220,9 @@ class DiskCache:
 
         When the volume's free space is below the configured floor
         (:func:`min_free_bytes`, or twice the entry size if larger)
-        the write is **refused** before any bytes land: corruption
-        listeners get a :class:`~repro.experiments.errors.
-        DiskFullError` and the caller sees nothing — better no entry
-        than a torn one fighting ENOSPC.
+        the write is **refused** before any bytes land and counted in
+        ``refused_writes`` — better no entry than a torn one fighting
+        ENOSPC.
         """
         path = self.path_for(key)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -242,7 +233,7 @@ class DiskCache:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             if self._refuse_if_full(path, len(blob)):
-                return
+                return False
             # lint: ordered[atomic-replace]
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
@@ -260,11 +251,12 @@ class DiskCache:
                     pass
                 raise
         except OSError:
-            pass
+            return False
+        return True
 
     def _refuse_if_full(self, path: Path, blob_size: int) -> bool:
-        """True when the write at ``path`` must be refused for lack of
-        disk headroom (listeners have been notified)."""
+        """True (and counted) when the write at ``path`` must be
+        refused for lack of disk headroom."""
         floor = min_free_bytes()
         if floor <= 0:
             return False
@@ -276,15 +268,6 @@ class DiskCache:
         if free >= needed:
             return False
         self.refused_writes += 1
-        error = DiskFullError(
-            path,
-            f"write refused: {free} bytes free < {needed} required",
-            free_bytes=free, needed_bytes=needed)
-        for listener in list(_CORRUPTION_LISTENERS):
-            try:
-                listener(error)
-            except Exception:
-                pass  # observability must never break the cache
         return True
 
     # -- maintenance ---------------------------------------------------
@@ -366,11 +349,10 @@ class DiskCache:
           (``purge_quarantined``, default on);
         * remove shard directories left empty.
 
-        ``warmup`` and ``traces`` (the nested checkpoint and trace
-        stores) and anything else that is not a two-hex-char shard
-        directory are never touched; run ``compact()`` on
-        :func:`get_warmup_cache` and :func:`get_trace_cache` separately
-        to GC them.
+        The other kinds' directories under the result store's root,
+        and anything else that is not a two-hex-char shard directory,
+        are never touched; ``repro cache compact`` runs ``compact()``
+        on every store of :func:`stores`.
         """
         report = CompactReport()
         for path in list(self.entries()):
@@ -428,42 +410,127 @@ class CompactReport:
                 f"{self.entries} entries, {self.bytes} bytes")
 
 
-_DEFAULT: Optional[DiskCache] = None
+class KindCounts(NamedTuple):
+    """One kind's lookup and write counters (a snapshot)."""
+
+    hits: int = 0     #: entries loaded and validated
+    misses: int = 0   #: absent, or another schema or key
+    writes: int = 0   #: entries that landed
+    corrupt: int = 0  #: quarantined, or rejected by validate
+    refused: int = 0  #: writes refused by the disk-space guard
 
 
-def get_cache() -> DiskCache:
-    """The process-wide cache at the configured root (lazily built)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = DiskCache(default_cache_dir())
-    return _DEFAULT
+class ArtifactStore(DiskCache):
+    """One kind of artifact: a :class:`DiskCache` under its own
+    subdirectory of the cache root, the function that builds a value
+    from a stored payload (or raises), and the kind's counters."""
+
+    def __init__(self, subdir: str,
+                 validate: Callable[..., object]) -> None:
+        super().__init__(subdir)  # rooted by set_cache_dir()
+        self.subdir = subdir
+        self.validate = validate
+        self.hits = self.misses = self.writes = 0
+
+    def load(self, key: str, *context) -> Optional[object]:
+        """``validate(payload, *context)`` of the entry under ``key``,
+        or None on a miss or a corrupt entry (see the module doc)."""
+        if not disk_cache_enabled():
+            return None
+        quarantined = self.corrupt_count
+        payload = self.get(key)
+        if self.corrupt_count != quarantined:
+            return None
+        if (payload is None or payload.get("schema") != SCHEMA_VERSION
+                or payload.get("key") != key):
+            self.misses += 1
+            return None
+        try:
+            value = self.validate(payload, *context)
+        except Exception:
+            # The key carries the code hash, so a payload stored under
+            # it that does not validate is malformed, not stale.
+            self.corrupt_count += 1
+            return None
+        self.hits += 1
+        return value
+
+    def save(self, key: str, **fields) -> None:
+        """Persist ``fields`` under ``key`` with the schema and key that
+        :meth:`load` checks."""
+        if disk_cache_enabled():
+            payload = {"schema": SCHEMA_VERSION, "key": key, **fields}
+            self.writes += self.put(key, payload)
+
+    def counts(self) -> KindCounts:
+        return KindCounts(self.hits, self.misses, self.writes,
+                          self.corrupt_count, self.refused_writes)
+
+    def reset_counts(self) -> None:
+        self.hits = self.misses = self.writes = 0
+        self.corrupt_count = self.refused_writes = 0
 
 
-def get_warmup_cache() -> DiskCache:
-    """Nested store for warmup machine checkpoints.
+def _result(payload: dict) -> tuple:
+    from repro.cpu.stats import SimStats
 
-    Rooted at ``<root>/warmup`` — its entry files sit two directory
-    levels below the main root, where the main store's ``entries()``
-    glob (``<root>/<shard>/*.pkl``) cannot see them, so result-cache
-    size accounting is unaffected.  Sharing the root means test
-    fixtures and ``REPRO_CACHE_DIR`` redirect both stores together, and
-    ``REPRO_DISK_CACHE=0`` disables both.
-    """
-    return DiskCache(get_cache().root / "warmup")
+    miss_map = payload["miss_map"]
+    return (SimStats.from_state(payload["stats"]),
+            None if miss_map is None else dict(miss_map))
 
 
-def get_trace_cache() -> DiskCache:
-    """Nested store for built execution traces, rooted at
-    ``<root>/traces`` and sharing the root exactly like
-    :func:`get_warmup_cache`."""
-    return DiskCache(get_cache().root / "traces")
+def _checkpoint(payload: dict, trace, build_sim: Callable[[], object]):
+    return build_sim().resume(trace, payload["state"])
+
+
+def _trace(payload: dict):
+    from repro.workloads.trace import Trace
+
+    return Trace.from_payload(payload["trace"])
+
+
+def _bpu_pass(payload: dict, trace) -> tuple:
+    events, units = payload["events"], payload["units"]
+    if not (isinstance(events, bytes) and len(events) == len(trace)
+            and isinstance(units, dict)):
+        raise ValueError("prediction pass does not fit its trace")
+    return events, units
+
+
+#: The artifact table, by kind.  Results sit at the cache root itself,
+#: where a plain ``DiskCache(root).get(key)`` finds them.
+_TABLE: Dict[str, ArtifactStore] = {
+    "result": ArtifactStore("", _result),
+    "warmup": ArtifactStore("warmup", _checkpoint),
+    "trace": ArtifactStore("traces", _trace),
+    "pass": ArtifactStore("passes", _bpu_pass),
+}
+
+KINDS = tuple(_TABLE)
+
+_ROOT: Optional[Path] = None
+
+
+def stores() -> Dict[str, ArtifactStore]:
+    """The artifact table, rooted at the configured cache root
+    (resolved from the environment on first use)."""
+    if _ROOT is None:
+        set_cache_dir(default_cache_dir())
+    return _TABLE
+
+
+def get_cache() -> ArtifactStore:
+    """The result store, at the cache root."""
+    return stores()["result"]
 
 
 def set_cache_dir(root: Optional[os.PathLike]) -> Optional[Path]:
-    """Point the process-wide cache at ``root`` (None = re-resolve from
-    the environment on next use).  Returns the previous root so tests
-    can restore it."""
-    global _DEFAULT
-    previous = _DEFAULT.root if _DEFAULT is not None else None
-    _DEFAULT = DiskCache(root) if root is not None else None
+    """Re-root every store of the table at ``root`` (None = re-resolve
+    from the environment on next use).  Returns the previous root so
+    tests can restore it."""
+    global _ROOT
+    previous, _ROOT = _ROOT, (Path(root) if root is not None else None)
+    if _ROOT is not None:
+        for store in _TABLE.values():
+            store.root = _ROOT / store.subdir
     return previous

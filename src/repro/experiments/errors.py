@@ -1,6 +1,6 @@
 """Structured error taxonomy for the experiment stack.
 
-The sweep engine, runner, and on-disk caches all need to agree on what
+The sweep engine, runner and run journal all need to agree on what
 can go wrong with a long multi-process run and how each failure should
 be handled.  The hierarchy encodes the policy:
 
@@ -14,16 +14,6 @@ be handled.  The hierarchy encodes the policy:
     The two concrete transient cases: a worker process that died
     (nonzero exit code / signal) and one that exceeded
     ``point_timeout`` and was terminated.
-``CorruptArtifactError``
-    A persisted artifact (disk-cache entry, warmup checkpoint) failed
-    checksum or decode validation.  Never raised across the cache API —
-    the entry is quarantined, the failure is reported through
-    :func:`repro.experiments.diskcache.add_corruption_listener`, and
-    the caller sees a plain cache miss.
-``DiskFullError``
-    The cache *refused* a write because the volume is nearly full —
-    better no entry than a torn one fighting ENOSPC.  Reported through
-    the same listener channel, never raised to the caller.
 ``JournalError``
     A run journal could not be created, found, replayed, or appended
     to.  A failed append stops the sweep: the journal is the durable
@@ -55,16 +45,13 @@ reproducible.
 from __future__ import annotations
 
 import hashlib
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 __all__ = [
     "ExperimentError",
     "TransientError",
     "WorkerCrashError",
     "PointTimeoutError",
-    "CorruptArtifactError",
-    "DiskFullError",
     "JournalError",
     "SweepInterrupted",
     "PointFailure",
@@ -102,42 +89,6 @@ class PointTimeoutError(TransientError):
     def __init__(self, message: str, timeout: Optional[float] = None):
         super().__init__(message)
         self.timeout = timeout
-
-
-class CorruptArtifactError(ExperimentError):
-    """A persisted artifact failed validation (checksum mismatch,
-    truncation, undecodable pickle/JSON).
-
-    Instances are *descriptive*: :class:`~repro.experiments.diskcache.
-    DiskCache` builds one per quarantined file and hands it to the
-    registered corruption listeners; it is never raised through the
-    cache ``get``/``put`` API.
-    """
-
-    def __init__(self, path: Union[str, Path], reason: str,
-                 quarantined_to: Optional[Path] = None):
-        super().__init__(f"{path}: {reason}")
-        self.path = Path(path)
-        self.reason = reason
-        #: Where the bad file was moved (``<name>.corrupt``), or None
-        #: when the move itself failed and the file was deleted/left.
-        self.quarantined_to = quarantined_to
-
-
-class DiskFullError(CorruptArtifactError):
-    """A cache write was *refused* because the volume is nearly full.
-
-    Subclasses :class:`CorruptArtifactError` so it reaches the same
-    corruption listeners (the refusal is an artifact-integrity event:
-    the alternative is a torn write racing ENOSPC), but nothing was
-    quarantined — the entry simply was not written.
-    """
-
-    def __init__(self, path: Union[str, Path], reason: str,
-                 free_bytes: int = 0, needed_bytes: int = 0):
-        super().__init__(path, reason)
-        self.free_bytes = free_bytes
-        self.needed_bytes = needed_bytes
 
 
 class JournalError(ExperimentError):

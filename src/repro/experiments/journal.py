@@ -413,7 +413,6 @@ def run_sweep(
                 # the point re-enters and earns a (duplicate) terminal.
                 continue
             stats, miss_map, source = hit
-            runner.record_source(source)
             preresolved[index] = SweepResult(
                 points[index], stats, miss_map, 0.0, source)
         for index, event in sorted(replayed.failed.items()):

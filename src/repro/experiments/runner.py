@@ -10,24 +10,24 @@ Caching is two-level:
 
 * an in-process dict (``_CACHE``) keyed by the full run key, so code
   holding a result keeps getting the *same object* back;
-* a content-addressed on-disk store (:mod:`repro.experiments.diskcache`)
-  keyed by SHA-256 of the same key, so fresh processes — a second
-  benchmark invocation, or the workers of a parallel
-  :func:`repro.experiments.sweep.sweep` — skip finished simulations.
+* the on-disk artifact table (:mod:`repro.experiments.diskcache`),
+  one store per kind, so fresh processes (a second benchmark
+  invocation, or the workers of a parallel
+  :func:`repro.experiments.sweep.sweep`) skip finished work.  A cold
+  point reads and writes each kind once: its ``result``, its
+  ``trace`` (behind the in-process trace memo, so a worker loads a
+  trace some earlier point built instead of rebuilding the
+  application), the front end's branch-prediction ``pass`` over that
+  trace (once per trace and BPU configuration), and its ``warmup``
+  checkpoint.
 
-The key includes every input that can change the result: workload,
-scale, prefetcher and its kwargs, config overrides, miss tracking,
-warmup fraction, trace seed, and a fingerprint of the default
+The result key includes every input that can change the result:
+workload, scale, prefetcher and its kwargs, config overrides, miss
+tracking, warmup fraction, trace seed, and a fingerprint of the default
 :class:`~repro.cpu.config.MachineConfig`, the payload schema version
 and the simulator's source code (:func:`code_hash`), so cached results
 are invalidated when the model, the serialization format or the code
-changes.
-
-Traces get the same treatment: :func:`get_trace` puts a nested on-disk
-trace store (``<cache>/traces``) behind the in-process trace memo, so
-each worker of a cold sweep loads a trace some earlier point built
-instead of rebuilding the application.  It also keeps the front end's
-branch-prediction pass, once per (trace, BPU configuration).
+changes.  :func:`run_cache_stats` reports each kind's counters.
 """
 
 from __future__ import annotations
@@ -196,33 +196,24 @@ class RunCacheStats:
     the sweep engine and the zero-resimulation acceptance tests)."""
 
     memory_hits: int = 0
-    disk_hits: int = 0
     simulations: int = 0
-    disk_writes: int = 0
-    #: Simulations that restored a warmup checkpoint instead of
-    #: re-running the warmup window.
-    warmup_hits: int = 0
-    warmup_writes: int = 0
-    #: Warmup checkpoints that loaded from disk but that ``resume``
-    #: rejected (a stale or mismatched machine layout); the point
-    #: re-ran its warmup cold.
-    warmup_fallbacks: int = 0
-    #: On-disk entries (results or warmup checkpoints) that failed
-    #: checksum/decode validation and were quarantined (see
-    #: docs/RESILIENCE.md), plus result payloads that passed those
-    #: checks but would not decode; each one degrades to a miss, never
-    #: a crash.
-    cache_corrupt: int = 0
-    #: Cache writes refused by the disk-space guard (the volume was
-    #: nearly full); the result still flows, it just is not persisted.
-    write_refusals: int = 0
-    #: Traces loaded from the on-disk trace store instead of built.
-    trace_hits: int = 0
-    trace_writes: int = 0
-    #: Branch-prediction passes loaded from the trace store instead of
-    #: run, and passes written to it.
-    pass_hits: int = 0
-    pass_writes: int = 0
+    #: Each artifact kind's counters (``diskcache.KINDS``).
+    kinds: Dict[str, diskcache.KindCounts] = dataclasses.field(
+        default_factory=lambda: {kind: diskcache.KindCounts()
+                                 for kind in diskcache.KINDS})
+
+    @property
+    def disk_hits(self) -> int:
+        """Results loaded from the on-disk store."""
+        return self.kinds["result"].hits
+
+    @property
+    def corrupt(self) -> int:
+        return sum(c.corrupt for c in self.kinds.values())
+
+    @property
+    def refused(self) -> int:
+        return sum(c.refused for c in self.kinds.values())
 
     @property
     def lookups(self) -> int:
@@ -232,80 +223,29 @@ class RunCacheStats:
 _STATS = RunCacheStats()
 
 
-def _count_corruption(error: diskcache.CorruptArtifactError) -> None:
-    from repro.experiments.errors import DiskFullError
-
-    if isinstance(error, DiskFullError):
-        _STATS.write_refusals += 1
-    else:
-        _STATS.cache_corrupt += 1
-
-
-diskcache.add_corruption_listener(_count_corruption)
-
-
 def run_cache_stats() -> RunCacheStats:
     """Snapshot of the hit/miss counters."""
-    return dataclasses.replace(_STATS)
+    return dataclasses.replace(_STATS, kinds={
+        kind: store.counts()
+        for kind, store in diskcache.stores().items()})
 
 
 def reset_run_cache_stats() -> None:
     global _STATS
     _STATS = RunCacheStats()
+    for store in diskcache.stores().values():
+        store.reset_counts()
 
 
 def record_source(source: str) -> None:
-    """Count a result resolved outside ``run_prefetcher`` (the sweep
-    engine's parent-side cache probes and pool workers) so
-    :func:`run_cache_stats` reflects work done on this process's
-    behalf."""
+    """Count a result a sweep worker resolved on this process's behalf,
+    so :func:`run_cache_stats` reflects it."""
     if source == "sim":
         _STATS.simulations += 1
     elif source == "disk":
-        _STATS.disk_hits += 1
+        diskcache.get_cache().hits += 1
     else:
         _STATS.memory_hits += 1
-
-
-# ----------------------------------------------------------------------
-# Disk layer
-# ----------------------------------------------------------------------
-def _disk_load(key: str) -> Optional[Tuple[SimStats, Optional[dict]]]:
-    if not diskcache.disk_cache_enabled():
-        return None
-    payload = diskcache.get_cache().get(key)
-    if payload is None:
-        return None
-    try:
-        if payload.get("schema") != diskcache.SCHEMA_VERSION:
-            return None
-        if payload.get("key") != key:  # digest collision / moved file
-            return None
-        stats = SimStats.from_state(payload["stats"])
-        miss_map = payload.get("miss_map")
-        if miss_map is not None:
-            miss_map = dict(miss_map)
-    except Exception:
-        # The key carries the code hash, so a payload stored under it
-        # that will not decode is malformed, not stale: count it and
-        # re-simulate.
-        _STATS.cache_corrupt += 1
-        return None
-    return stats, miss_map
-
-
-def _disk_store(key: str, stats: SimStats,
-                miss_map: Optional[dict]) -> None:
-    if not diskcache.disk_cache_enabled():
-        return
-    payload = {
-        "schema": diskcache.SCHEMA_VERSION,
-        "key": key,
-        "stats": stats.state_dict(),
-        "miss_map": dict(miss_map) if miss_map is not None else None,
-    }
-    diskcache.get_cache().put(key, payload)
-    _STATS.disk_writes += 1
 
 
 def seed_cache(key: str, stats: SimStats,
@@ -320,112 +260,33 @@ def peek_cached(key: str) -> Optional[Tuple[SimStats, Optional[dict], str]]:
 
     Returns ``(stats, miss_map, source)`` with source ``"memory"`` or
     ``"disk"`` (disk hits are promoted into the in-process layer), or
-    None on a miss.  This is the supported cross-module probe — the
-    sweep engine uses it to resolve warm points in the parent process
-    without reaching into the runner's private cache dict.
+    None on a miss; either way the lookup is counted.  The sweep
+    engine uses it to resolve warm points in the parent process.
     """
     cached = _CACHE.get(key)
     if cached is not None:
+        _STATS.memory_hits += 1
         return cached[0], cached[1], "memory"
-    loaded = _disk_load(key)
+    loaded = diskcache.get_cache().load(key)
     if loaded is not None:
         _CACHE[key] = loaded
         return loaded[0], loaded[1], "disk"
     return None
 
 
-# ----------------------------------------------------------------------
-# Warmup checkpoints
-# ----------------------------------------------------------------------
-def _warmup_load(wkey: str) -> Optional[dict]:
-    """Load a post-warmup machine snapshot, or None."""
-    if not diskcache.disk_cache_enabled():
-        return None
-    payload = diskcache.get_warmup_cache().get(wkey)
-    if payload is None:
-        return None
-    if payload.get("schema") != diskcache.SCHEMA_VERSION:
-        return None
-    if payload.get("key") != wkey:
-        return None
-    state = payload.get("state")
-    return state if isinstance(state, dict) else None
-
-
-def _warmup_store(wkey: str, state: dict) -> None:
-    if not diskcache.disk_cache_enabled():
-        return
-    payload = {
-        "schema": diskcache.SCHEMA_VERSION,
-        "key": wkey,
-        "state": state,
-    }
-    diskcache.get_warmup_cache().put(wkey, payload)
-    _STATS.warmup_writes += 1
-
-
-# ----------------------------------------------------------------------
-# Trace store
-# ----------------------------------------------------------------------
-class _DiskTraceStore:
-    """The :class:`~repro.workloads.cache.TraceStore` at
-    ``<cache>/traces``, validated like the result store."""
+class _TraceStore:
+    """The :class:`~repro.workloads.cache.TraceStore` over the ``trace``
+    kind."""
 
     def load(self, name: str, scale: str, seed: int) -> Optional[Trace]:
-        key = trace_key(name, scale, seed)
-        payload = diskcache.get_trace_cache().get(key)
-        if payload is None:
-            return None
-        if payload.get("schema") != diskcache.SCHEMA_VERSION:
-            return None
-        if payload.get("key") != key:
-            return None
-        try:
-            trace = Trace.from_payload(payload["trace"])
-        except (KeyError, TypeError, ValueError):
-            return None  # stale or malformed payload: rebuild
-        _STATS.trace_hits += 1
-        return trace
+        return diskcache.stores()["trace"].load(trace_key(name, scale, seed))
 
     def save(self, name: str, scale: str, seed: int, trace: Trace) -> None:
-        key = trace_key(name, scale, seed)
-        payload = {
-            "schema": diskcache.SCHEMA_VERSION,
-            "key": key,
-            "trace": trace.to_payload(),
-        }
-        diskcache.get_trace_cache().put(key, payload)
-        _STATS.trace_writes += 1
+        diskcache.stores()["trace"].save(trace_key(name, scale, seed),
+                                         trace=trace.to_payload())
 
 
-_TRACE_STORE = _DiskTraceStore()
-
-
-def _pass_load(key: str, trace: Trace) -> Optional[tuple]:
-    """The stored prediction pass over ``trace``, or None.  A payload
-    that passed the checksum but does not fit the trace counts as
-    corrupt."""
-    payload = diskcache.get_trace_cache().get(key)
-    if payload is None:
-        return None
-    if (payload.get("schema") != diskcache.SCHEMA_VERSION
-            or payload.get("key") != key):
-        return None
-    events = payload.get("events")
-    units = payload.get("units")
-    if not (isinstance(events, bytes) and len(events) == len(trace)
-            and isinstance(units, dict)):
-        _STATS.cache_corrupt += 1
-        return None
-    _STATS.pass_hits += 1
-    return events, units
-
-
-def _pass_store(key: str, done: tuple) -> None:
-    diskcache.get_trace_cache().put(key, {
-        "schema": diskcache.SCHEMA_VERSION, "key": key,
-        "events": done[0], "units": done[1]})
-    _STATS.pass_writes += 1
+_TRACE_STORE = _TraceStore()
 
 
 def get_trace(workload: str, scale: str = "bench", seed: int = 1,
@@ -462,27 +323,21 @@ def run_prefetcher(
     key = _key(workload, scale, prefetcher, pf_kwargs, overrides,
                track_block_misses, warmup, seed)
     if use_cache:
-        cached = _CACHE.get(key)
-        if cached is not None:
-            _STATS.memory_hits += 1
-            return cached
-        loaded = _disk_load(key)
-        if loaded is not None:
-            _STATS.disk_hits += 1
-            _CACHE[key] = loaded
-            return loaded
+        hit = peek_cached(key)
+        if hit is not None:
+            return hit[0], hit[1]
+    stores = diskcache.stores()
     trace = get_trace(workload, scale=scale, seed=seed, use_cache=use_cache)
     config = MachineConfig()
     if overrides:
         config = config.replace(**overrides)
-    # The prediction pass: from the trace, else the trace store, else
+    # The prediction pass: from the trace, else the pass store, else
     # run by bind() below and then stored.
     bpu = config.frontend.bpu_key
     pkey = None
-    if (use_cache and diskcache.disk_cache_enabled()
-            and bpu not in trace.bpu_passes):
+    if use_cache and bpu not in trace.bpu_passes:
         pkey = pass_key(workload, scale, seed, bpu)
-        done = _pass_load(pkey, trace)
+        done = stores["pass"].load(pkey, trace)
         if done is not None:
             trace.bpu_passes[bpu] = done
             pkey = None
@@ -498,32 +353,21 @@ def run_prefetcher(
             track_block_misses=track_block_misses,
         )
 
-    sim = build_sim()
-    resumed = False
-    wkey = None
+    sim = None
     if use_cache:
+        # A checkpoint that resume() rejects counts as corrupt, and the
+        # point warms up cold on a fresh simulator.
         wkey = _warmup_key(workload, scale, prefetcher, pf_kwargs,
                            overrides, warmup, seed)
-        state = _warmup_load(wkey)
-        if state is not None:
-            try:
-                sim.resume(trace, state)
-                resumed = True
-                _STATS.warmup_hits += 1
-            except Exception:
-                # Stale, mismatched, or corrupted checkpoint — whatever
-                # the load_state_dict path raised, a partial load may
-                # have corrupted the machine, so fall back to a cold
-                # warmup on a fresh simulator.  A checkpoint is an
-                # accelerator; it must never change (or abort) results.
-                _STATS.warmup_fallbacks += 1
-                sim = build_sim()
-    if not resumed:
+        sim = stores["warmup"].load(wkey, trace, build_sim)
+    if sim is None:
+        sim = build_sim()
         sim.warmup(trace, warmup_fraction=warmup)
         if use_cache:
-            _warmup_store(wkey, sim.state_dict())
+            stores["warmup"].save(wkey, state=sim.state_dict())
     if pkey is not None:
-        _pass_store(pkey, trace.bpu_passes[bpu])
+        events, units = trace.bpu_passes[bpu]
+        stores["pass"].save(pkey, events=events, units=units)
     stats = sim.measure()
     miss_map = (
         dict(sim.hierarchy.l2_miss_map) if track_block_misses else None
@@ -532,7 +376,8 @@ def run_prefetcher(
     result = (stats, miss_map)
     if use_cache:
         _CACHE[key] = result
-        _disk_store(key, stats, miss_map)
+        stores["result"].save(key, stats=stats.state_dict(),
+                              miss_map=miss_map)
     return result
 
 
@@ -595,10 +440,9 @@ def perfect_l1i_speedup(workload: str, scale: str = "bench") -> float:
 
 
 def clear_run_cache(disk: bool = False) -> None:
-    """Drop all cached simulation results (in-process; plus the on-disk
-    result, warmup-checkpoint and trace stores when ``disk=True``)."""
+    """Drop all cached simulation results (in-process; plus every
+    on-disk artifact store when ``disk=True``)."""
     _CACHE.clear()
     if disk and diskcache.disk_cache_enabled():
-        diskcache.get_cache().clear()
-        diskcache.get_warmup_cache().clear()
-        diskcache.get_trace_cache().clear()
+        for store in diskcache.stores().values():
+            store.clear()

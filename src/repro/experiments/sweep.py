@@ -444,9 +444,9 @@ class _Supervisor:
         if outcome[0] == "ok":
             _, state, miss_map, source, elapsed = outcome
             stats = SimStats.from_state(state)
-            # lint: ordered[persist-before-append]
             if not self.in_process:
-                # The worker counted and persisted the point; mirror it
+                # The worker counted the point and wrote its result to
+                # the disk cache before sending the outcome; mirror it
                 # into this process.  In-process runs already did both.
                 runner.record_source(source)
                 if self.use_cache:
@@ -454,7 +454,6 @@ class _Supervisor:
             self.emit("completed", index=index, label=point.label,
                       attempt=attempt, shard=0, source=source,
                       seconds=round(elapsed, 4))
-            # lint: ordered-end
             self._terminal()
             self.complete(index, SweepResult(
                 point, stats, miss_map, elapsed, source))
@@ -643,7 +642,6 @@ def sweep(
             pending.append(index)
             continue
         stats, miss_map, source = hit
-        runner.record_source(source)
         cached.append((index, SweepResult(
             point, stats, miss_map, time.perf_counter() - start, source)))
 

@@ -12,7 +12,7 @@ test suite can only spot-check:
   repeated attribute chains, per-iteration allocation, or global
   lookups;
 * ``crash-ordering`` — inside ``# lint: ordered[...]`` regions, the
-  fsync-before-replace and persist-before-append orders hold.
+  write → fsync → replace order holds.
 
 See ``docs/LINTING.md`` for rule semantics and the waiver syntax.
 """

@@ -48,7 +48,6 @@ FENCED_PATHS = (
 ORDERED_PATHS = (
     "src/repro/experiments/diskcache.py",
     "src/repro/experiments/journal.py",
-    "src/repro/experiments/sweep.py",
 )
 
 

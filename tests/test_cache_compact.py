@@ -64,7 +64,7 @@ class TestCompact:
         previous = diskcache.set_cache_dir(tmp_path)
         try:
             cache = diskcache.get_cache()
-            warmup = diskcache.get_warmup_cache()
+            warmup = diskcache.stores()["warmup"]
             warmup.put("checkpoint", _payload("checkpoint"))
             cache.put("result", _payload("result"))
             report = cache.compact()
@@ -132,7 +132,7 @@ class TestStats:
             cache.put("torn", _payload("torn"))
             corrupt_file(cache.path_for("torn"), TRUNCATE)
             assert cache.get("torn") is None
-            traces = diskcache.get_trace_cache()
+            traces = diskcache.stores()["trace"]
             traces.put("trace", _payload("trace"))
             traces.put("torn", _payload("torn"))
             corrupt_file(traces.path_for("torn"), TRUNCATE)
@@ -140,13 +140,13 @@ class TestStats:
 
             assert main(["cache", "info"]) == 0
             out = capsys.readouterr().out
-            assert "results: 1 entries" in out
+            assert "result: 1 entries" in out
             assert "1 quarantined" in out
-            assert "traces: 1 entries" in out
+            assert "trace: 1 entries" in out
 
             assert main(["cache", "compact"]) == 0
             out = capsys.readouterr().out
-            assert "results: quarantined 0" in out
+            assert "result: quarantined 0" in out
             assert len(cache) == 1
             assert list(cache.quarantined()) == []
             assert list(traces.quarantined()) == []

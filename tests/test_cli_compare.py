@@ -77,17 +77,16 @@ class TestSweepParser:
         assert args.workloads == []
         assert args.jobs == 1
         assert not args.no_cache
-        assert not args.clear_cache
         assert args.prefetchers == ["efetch", "mana", "eip",
                                     "hierarchical"]
 
     def test_flags(self):
         args = build_parser().parse_args(
             ["sweep", "beego", "gin", "--jobs", "4", "--no-cache",
-             "--clear-cache", "--scale", "tiny", "--seed", "7"])
+             "--scale", "tiny", "--seed", "7"])
         assert args.workloads == ["beego", "gin"]
         assert args.jobs == 4
-        assert args.no_cache and args.clear_cache
+        assert args.no_cache
         assert args.seed == 7
 
     def test_sharding_flag_removed(self, capsys):
@@ -141,9 +140,3 @@ class TestSweepFlow:
         assert rc == 0
         out = capsys.readouterr().out
         assert "2 simulated" in out
-
-    def test_clear_cache_only(self, capsys):
-        rc = main(["sweep", "--clear-cache"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "cleared simulation cache" in out

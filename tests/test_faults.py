@@ -309,7 +309,7 @@ class TestCacheCorruption:
         assert by_label[f"{WORKLOAD}/fdip"] == "disk"
         assert by_label[EIP_LABEL] == "sim"  # quarantined, re-simulated
         s = runner.run_cache_stats()
-        assert s.cache_corrupt == 1
+        assert s.kinds["result"].corrupt == 1
         assert list(diskcache.get_cache().quarantined())
 
     def test_injected_cache_fault_corrupts_after_store(self, cache_dir):
@@ -321,7 +321,7 @@ class TestCacheCorruption:
         report = sweep(_points(), progress=None, fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _states(first)
-        assert runner.run_cache_stats().cache_corrupt == 1
+        assert runner.run_cache_stats().kinds["result"].corrupt == 1
 
     def test_parallel_worker_injects_cache_fault(self, cache_dir):
         plan = FaultPlan([Fault(TRUNCATE, EIP_LABEL)])
@@ -332,7 +332,7 @@ class TestCacheCorruption:
         report = sweep(_points(), progress=None, fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _states(first)
-        assert runner.run_cache_stats().cache_corrupt == 1
+        assert runner.run_cache_stats().kinds["result"].corrupt == 1
 
 
 # ----------------------------------------------------------------------

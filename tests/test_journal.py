@@ -41,11 +41,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
-from repro.experiments.errors import (
-    DiskFullError,
-    PointFailure,
-    SweepInterrupted,
-)
+from repro.experiments.errors import PointFailure, SweepInterrupted
 from repro.experiments.faults import (
     ERROR,
     PARENT_SIGNAL,
@@ -108,7 +104,8 @@ def _fake_run_serial(point, use_cache):
     stats.cycles = float(int(digest[20:28], 16) % 99991) + 1.0
     if use_cache:
         runner.seed_cache(point.key(), stats, None)
-        runner._disk_store(point.key(), stats, None)
+        diskcache.get_cache().save(point.key(), stats=stats.state_dict(),
+                                   miss_map=None)
     return stats, None, "sim", 0.001
 
 
@@ -394,7 +391,7 @@ _CHILD_SCRIPT = textwrap.dedent("""
     # re-exported sweep *function*, not the module.
     sweep_mod = importlib.import_module("repro.experiments.sweep")
     from repro.cpu.stats import SimStats
-    from repro.experiments import runner
+    from repro.experiments import diskcache, runner
     from repro.experiments.journal import run_sweep
     from repro.experiments.sweep import SweepPoint
 
@@ -408,7 +405,8 @@ _CHILD_SCRIPT = textwrap.dedent("""
         time.sleep(0.25)  # slow enough for the parent to SIGKILL us
         if use_cache:
             runner.seed_cache(point.key(), stats, None)
-            runner._disk_store(point.key(), stats, None)
+            diskcache.get_cache().save(point.key(), stats=stats.state_dict(),
+                                       miss_map=None)
         return stats, None, "sim", 0.001
 
     sweep_mod._run_serial = fake_run_serial
@@ -535,27 +533,19 @@ class TestDiskGuard:
                                                    monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MIN_FREE", str(2**62))
         cache = diskcache.DiskCache(cache_dir / "guarded")
-        seen = []
-        diskcache.add_corruption_listener(seen.append)
-        try:
-            cache.put("k", {"schema": 1, "key": "k"})
-        finally:
-            diskcache._CORRUPTION_LISTENERS.remove(seen.append)
+        assert cache.put("k", {"schema": 1, "key": "k"}) is False
         assert cache.get("k") is None  # nothing was written
         assert len(cache) == 0
         assert cache.refused_writes == 1
-        (error,) = seen
-        assert isinstance(error, DiskFullError)
-        assert error.free_bytes < error.needed_bytes
 
     def test_refusal_counts_separately_from_corruption(self, cache_dir,
                                                        monkeypatch):
         runner.reset_run_cache_stats()
         monkeypatch.setenv("REPRO_CACHE_MIN_FREE", str(2**62))
         diskcache.get_cache().put("k", {"schema": 1})
-        stats = runner.run_cache_stats()
-        assert stats.write_refusals == 1
-        assert stats.cache_corrupt == 0
+        stats = runner.run_cache_stats().kinds["result"]
+        assert stats.refused == 1
+        assert stats.corrupt == 0
 
     def test_guard_disabled_with_zero_floor(self, cache_dir,
                                             monkeypatch):

@@ -675,28 +675,6 @@ class TestCrashOrdering:
         assert len(report.findings) == 1
         assert "no fsync call" in report.findings[0].message
 
-    def test_persist_before_append_order(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def resolve(cache, journal, key, record):
-                # lint: ordered[persist-before-append]
-                cache.put(key, record)
-                journal.emit(record)
-                # lint: ordered-end
-            """})
-        assert lint(tmp_path, rules=["crash-ordering"]).findings == []
-
-    def test_append_before_persist_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/mod.py": """\
-            def resolve(cache, journal, key, record):
-                # lint: ordered[persist-before-append]
-                journal.emit(record)
-                cache.put(key, record)
-                # lint: ordered-end
-            """})
-        report = lint(tmp_path, rules=["crash-ordering"])
-        assert len(report.findings) == 1
-        assert "before persisting" in report.findings[0].message
-
     def test_ordered_path_without_region_flagged(self, tmp_path):
         project(tmp_path, {"src/repro/mod.py": "X = 1\n"})
         report = lint(tmp_path, rules=["crash-ordering"],

@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro.cpu import MachineConfig
+from repro.cpu.config import DEFAULT_WARMUP
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
 from repro.experiments.journal import grid_fingerprint
@@ -183,7 +184,7 @@ class TestDiskCacheLayer:
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
         assert s.simulations == 1  # ignored, not crashed
-        assert s.cache_corrupt == 1
+        assert s.kinds["result"].corrupt == 1
         quarantined = list(diskcache.get_cache().quarantined())
         assert [p.name for p in quarantined] == [path.name + ".corrupt"]
         # The fresh simulation rewrote a good entry under the live name.
@@ -202,21 +203,8 @@ class TestDiskCacheLayer:
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
         assert s.simulations == 1
-        assert s.cache_corrupt == 1
+        assert s.kinds["result"].corrupt == 1
         assert list(diskcache.get_cache().quarantined())
-
-    def test_stale_schema_entry_resimulated(self, cache_dir):
-        run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_cache().entries()
-        payload = _read_payload(path)
-        payload["schema"] = diskcache.SCHEMA_VERSION + 1
-        _write_payload(path, payload)
-        clear_run_cache()
-        reset_run_cache_stats()
-        run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.simulations == 1
-        assert s.cache_corrupt == 0  # stale is not corrupt
 
     def test_pre_envelope_entry_quarantined(self, cache_dir):
         # A bare pickled payload dict (no checksum envelope) at a
@@ -229,36 +217,9 @@ class TestDiskCacheLayer:
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
         assert s.disk_hits == 0 and s.simulations == 1
-        assert s.cache_corrupt == 1
+        assert s.kinds["result"].corrupt == 1
         quarantined = list(diskcache.get_cache().quarantined())
         assert [p.name for p in quarantined] == [path.name + ".corrupt"]
-
-    def test_wrong_key_payload_ignored(self, cache_dir):
-        # A digest collision (or a hand-moved file) must not serve the
-        # wrong point's stats.
-        key = cache_key(WORKLOAD, "eip", scale="tiny")
-        diskcache.get_cache().put(key, {
-            "schema": diskcache.SCHEMA_VERSION, "key": "someone-else",
-            "stats": _make_stats().state_dict(), "miss_map": None,
-        })
-        reset_run_cache_stats()
-        run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        assert run_cache_stats().simulations == 1
-
-    def test_malformed_payload_counted_corrupt(self, cache_dir):
-        # Right schema and key, but stats SimStats cannot rebuild: the
-        # key carries the code hash, so this is malformed, not stale.
-        key = cache_key(WORKLOAD, "eip", scale="tiny")
-        diskcache.get_cache().put(key, {
-            "schema": diskcache.SCHEMA_VERSION, "key": key,
-            "stats": {"not": "a SimStats state"}, "miss_map": None,
-        })
-        reset_run_cache_stats()
-        stats, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        s = run_cache_stats()
-        assert s.simulations == 1 and s.disk_hits == 0
-        assert s.cache_corrupt == 1
-        assert stats.instructions > 0
 
     def test_no_cache_skips_both_layers(self, cache_dir):
         run_prefetcher(WORKLOAD, "eip", scale="tiny", use_cache=False)
@@ -273,10 +234,10 @@ class TestDiskCacheLayer:
         # stored rather than served from the in-process memo.
         runner.get_trace(WORKLOAD, scale="tiny", seed=13)
         assert len(diskcache.get_cache()) == 1
-        assert len(diskcache.get_trace_cache()) == 1
+        assert len(diskcache.stores()["trace"]) == 1
         clear_run_cache(disk=True)
         assert len(diskcache.get_cache()) == 0
-        assert len(diskcache.get_trace_cache()) == 0
+        assert len(diskcache.stores()["trace"]) == 0
         reset_run_cache_stats()
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         assert run_cache_stats().simulations == 1
@@ -313,8 +274,8 @@ class TestWarmupCheckpoint:
     def test_cold_run_writes_checkpoint(self, cache_dir):
         run_prefetcher(WORKLOAD, "hierarchical", scale="tiny")
         s = run_cache_stats()
-        assert s.warmup_writes == 1 and s.warmup_hits == 0
-        assert len(diskcache.get_warmup_cache()) == 1
+        assert s.kinds["warmup"][:3] == (0, 1, 1)  # hits, misses, writes
+        assert len(diskcache.stores()["warmup"]) == 1
         # Warmup checkpoints are invisible to the result store.
         assert len(diskcache.get_cache()) == 1
 
@@ -325,8 +286,8 @@ class TestWarmupCheckpoint:
         warm, miss_map = run_prefetcher(
             WORKLOAD, "hierarchical", scale="tiny", track_block_misses=True)
         s = run_cache_stats()
-        assert s.simulations == 2 and s.warmup_hits == 1
-        assert s.warmup_writes == 1  # resumed run does not re-store
+        assert s.simulations == 2 and s.kinds["warmup"].hits == 1
+        assert s.kinds["warmup"].writes == 1  # resumed: no re-store
         assert warm == cold
         assert miss_map  # tracking still collected from measurement
 
@@ -335,16 +296,16 @@ class TestWarmupCheckpoint:
         # Drop the cached *result* but keep the warmup checkpoint.
         clear_run_cache()
         diskcache.get_cache().clear()
-        assert len(diskcache.get_warmup_cache()) == 1
+        assert len(diskcache.stores()["warmup"]) == 1
         reset_run_cache_stats()
         warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.simulations == 1 and s.warmup_hits == 1
+        assert s.simulations == 1 and s.kinds["warmup"].hits == 1
         assert warm == cold
 
     def test_corrupted_checkpoint_falls_back_cold(self, cache_dir):
         cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_warmup_cache().entries()
+        (path,) = diskcache.stores()["warmup"].entries()
         payload = _read_payload(path)
         # Mangle the machine state so resume() raises mid-load.
         payload["state"]["components"] = {"not": "the machine"}
@@ -354,7 +315,8 @@ class TestWarmupCheckpoint:
         reset_run_cache_stats()
         warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
+        assert s.kinds["warmup"].hits == 0 and s.simulations == 1
+        assert s.kinds["warmup"].corrupt == 1
         assert warm == cold  # fell back to a correct cold run
 
     def test_truncated_checkpoint_falls_back_cold(self, cache_dir):
@@ -362,7 +324,7 @@ class TestWarmupCheckpoint:
         # layer quarantines it and the run degrades to a cold warmup
         # with bit-identical stats.
         cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_warmup_cache().entries()
+        (path,) = diskcache.stores()["warmup"].entries()
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         clear_run_cache()
@@ -370,12 +332,12 @@ class TestWarmupCheckpoint:
         reset_run_cache_stats()
         warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
-        assert s.cache_corrupt == 1
+        assert s.kinds["warmup"].hits == 0 and s.simulations == 1
+        assert s.kinds["warmup"].corrupt == 1
         assert warm == cold
-        assert list(diskcache.get_warmup_cache().quarantined())
+        assert list(diskcache.stores()["warmup"].quarantined())
         # The cold run re-persisted a fresh, valid checkpoint.
-        assert s.warmup_writes == 1
+        assert s.kinds["warmup"].writes == 1
 
     def test_old_frontend_layout_checkpoint_falls_back_cold(self, cache_dir):
         # A checkpoint from before the front end's predictor tables left
@@ -388,7 +350,7 @@ class TestWarmupCheckpoint:
         from repro.frontend.tage import TagePredictor
 
         cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        (path,) = diskcache.get_warmup_cache().entries()
+        (path,) = diskcache.stores()["warmup"].entries()
         payload = _read_payload(path)
         frontend = payload["state"]["components"]["frontend"]
         payload["state"]["components"]["frontend"] = {
@@ -406,8 +368,8 @@ class TestWarmupCheckpoint:
         reset_run_cache_stats()
         warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.warmup_fallbacks == 1 and s.warmup_hits == 0
-        assert s.simulations == 1
+        assert s.kinds["warmup"].corrupt == 1  # malformed, not stale
+        assert s.kinds["warmup"].hits == 0 and s.simulations == 1
         assert warm == cold
 
     def test_arbitrary_resume_exception_falls_back_cold(
@@ -427,7 +389,7 @@ class TestWarmupCheckpoint:
         monkeypatch.setattr(FrontEndSimulator, "resume", explode)
         warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.simulations == 1
+        assert s.kinds["warmup"].hits == 0 and s.simulations == 1
         assert warm == cold
 
     def test_config_change_misses_checkpoint(self, cache_dir):
@@ -436,25 +398,25 @@ class TestWarmupCheckpoint:
         run_prefetcher(WORKLOAD, "eip", scale="tiny",
                        overrides={"hierarchy.l1i_bytes": 16 * 1024})
         s = run_cache_stats()
-        assert s.warmup_hits == 0 and s.warmup_writes == 1
+        assert (s.kinds["warmup"].hits, s.kinds["warmup"].writes) == (0, 1)
 
     def test_disable_via_env_skips_checkpoints(self, cache_dir, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert s.warmup_writes == 0
-        assert len(diskcache.get_warmup_cache()) == 0
+        assert s.kinds["warmup"].writes == 0
+        assert len(diskcache.stores()["warmup"]) == 0
 
     def test_no_cache_skips_checkpoints(self, cache_dir):
         run_prefetcher(WORKLOAD, "eip", scale="tiny", use_cache=False)
-        assert run_cache_stats().warmup_writes == 0
-        assert len(diskcache.get_warmup_cache()) == 0
+        assert run_cache_stats().kinds["warmup"].writes == 0
+        assert len(diskcache.stores()["warmup"]) == 0
 
     def test_clear_run_cache_disk_clears_checkpoints(self, cache_dir):
         run_prefetcher(WORKLOAD, "eip", scale="tiny")
-        assert len(diskcache.get_warmup_cache()) == 1
+        assert len(diskcache.stores()["warmup"]) == 1
         clear_run_cache(disk=True)
-        assert len(diskcache.get_warmup_cache()) == 0
+        assert len(diskcache.stores()["warmup"]) == 0
 
 
 _SECOND_PROCESS = """
@@ -513,18 +475,18 @@ class TestTraceStore:
         built, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         assert builds == [WORKLOAD]
         s = run_cache_stats()
-        assert (s.trace_hits, s.trace_writes) == (0, 1)
+        assert (s.kinds["trace"].hits, s.kinds["trace"].writes) == (0, 1)
 
         # Keep only the stored trace: drop the result, its checkpoint
         # and the in-process memo.
         clear_run_cache()
         diskcache.get_cache().clear()
-        diskcache.get_warmup_cache().clear()
+        diskcache.stores()["warmup"].clear()
         workload_cache.clear_caches()
         loaded, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         assert builds == [WORKLOAD]  # the hit built nothing
         s = run_cache_stats()
-        assert (s.trace_hits, s.trace_writes) == (1, 1)
+        assert (s.kinds["trace"].hits, s.kinds["trace"].writes) == (1, 1)
         assert loaded.state_dict() == built.state_dict()
 
     def test_disabled_store_is_never_created(self, cache_dir, monkeypatch):
@@ -533,12 +495,12 @@ class TestTraceStore:
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         runner.get_trace(WORKLOAD, scale="tiny", seed=12)
         assert not (cache_dir / "traces").exists()
-        assert run_cache_stats().trace_writes == 0
+        assert run_cache_stats().kinds["trace"].writes == 0
 
     def test_bitflipped_trace_quarantined_and_rebuilt(self, cache_dir,
                                                       builds):
         before, _ = run_baseline(WORKLOAD, scale="tiny")
-        path = diskcache.get_trace_cache().path_for(
+        path = diskcache.stores()["trace"].path_for(
             trace_key(WORKLOAD, "tiny", 1))
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0xFF
@@ -552,10 +514,10 @@ class TestTraceStore:
 
         after, _ = run_baseline(WORKLOAD, scale="tiny")
         s = run_cache_stats()
-        assert s.cache_corrupt == 1
-        assert (s.trace_hits, s.trace_writes) == (0, 1)
+        assert s.kinds["trace"].corrupt == 1
+        assert (s.kinds["trace"].hits, s.kinds["trace"].writes) == (0, 1)
         assert builds == [WORKLOAD, WORKLOAD]
-        assert list(diskcache.get_trace_cache().quarantined())
+        assert list(diskcache.stores()["trace"].quarantined())
         assert after.state_dict() == before.state_dict()
 
 
@@ -578,12 +540,12 @@ class TestPassStore:
     def test_pass_is_paid_once_per_trace(self, cache_dir, builds):
         first, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert (s.pass_hits, s.pass_writes) == (0, 1)
+        assert (s.kinds["pass"].hits, s.kinds["pass"].writes) == (0, 1)
         workload_cache.clear_caches()
         with no_pass:
             second, _ = run_prefetcher(WORKLOAD, "mana", scale="tiny")
         s = run_cache_stats()
-        assert (s.pass_hits, s.pass_writes) == (1, 1)
+        assert (s.kinds["pass"].hits, s.kinds["pass"].writes) == (1, 1)
         assert builds == [WORKLOAD]
         # Fresh traces, passes run in-process: the same results.
         for name, stats in (("eip", first), ("mana", second)):
@@ -592,7 +554,7 @@ class TestPassStore:
                                       use_cache=False)
             assert alone == stats
         s = run_cache_stats()
-        assert (s.pass_hits, s.pass_writes) == (1, 1)
+        assert (s.kinds["pass"].hits, s.kinds["pass"].writes) == (1, 1)
 
     def test_checkpoint_resume_uses_the_stored_pass(self, cache_dir,
                                                      builds):
@@ -601,26 +563,8 @@ class TestPassStore:
         with no_pass:
             got, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
-        assert (s.warmup_hits, s.pass_hits, s.pass_writes) == (1, 1, 1)
-        assert got == expected
-
-    def test_bad_entry_is_recomputed_and_counted(self, cache_dir, builds):
-        expected, _ = run_baseline(WORKLOAD, scale="tiny")
-        bpu = MachineConfig().frontend.bpu_key
-        path = diskcache.get_trace_cache().path_for(
-            runner.pass_key(WORKLOAD, "tiny", 1, bpu))
-        payload = _read_payload(path)
-        good = payload["events"]
-        _write_payload(path, dict(payload, events=good[:-1]))
-        _forget_results()
-        diskcache.get_warmup_cache().clear()
-        reset_run_cache_stats()
-
-        got, _ = run_baseline(WORKLOAD, scale="tiny")
-        s = run_cache_stats()
-        assert s.cache_corrupt == 1
-        assert (s.pass_hits, s.pass_writes) == (0, 1)
-        assert _read_payload(path)["events"] == good
+        assert s.kinds["warmup"].hits == 1
+        assert (s.kinds["pass"].hits, s.kinds["pass"].writes) == (1, 1)
         assert got == expected
 
     def test_key_holds_every_bpu_input(self):
@@ -649,7 +593,80 @@ class TestPassStore:
             run_prefetcher(WORKLOAD, "efetch", scale="tiny")
         assert pass_.call_count == 2
         s = run_cache_stats()
-        assert (s.pass_hits, s.pass_writes) == (0, 1)
+        assert (s.kinds["pass"].hits, s.kinds["pass"].writes) == (0, 1)
+
+
+def _kind_key(kind):
+    """The key under which the FDIP tiny baseline looks up ``kind``."""
+    if kind == "result":
+        return cache_key(WORKLOAD, None, scale="tiny")
+    if kind == "warmup":
+        return runner._warmup_key(WORKLOAD, "tiny", None, None, None,
+                                  DEFAULT_WARMUP, 1)
+    if kind == "trace":
+        return trace_key(WORKLOAD, "tiny", 1)
+    return runner.pass_key(WORKLOAD, "tiny", 1,
+                           MachineConfig().frontend.bpu_key)
+
+
+#: Per kind, payload fields that pass the checksum but that the kind's
+#: validate function rejects.
+MALFORMED = {
+    "result": {"stats": {"not": "a SimStats state"}, "miss_map": None},
+    "warmup": {"state": "not a machine snapshot"},
+    "trace": {"trace": {"pc": []}},
+    "pass": {"events": b"too short", "units": {}},
+}
+
+
+class TestEveryKind:
+    """One policy for the four artifact kinds: a payload under the
+    right schema and key that does not validate is corrupt, counted
+    once and recomputed; another schema or key is a plain miss."""
+
+    @pytest.mark.parametrize("kind", diskcache.KINDS)
+    def test_malformed_payload_counted_and_recomputed(self, cache_dir,
+                                                      builds, kind):
+        expected, _ = run_baseline(WORKLOAD, scale="tiny", use_cache=False)
+        workload_cache.clear_caches()
+        key = _kind_key(kind)
+        store = diskcache.stores()[kind]
+        store.put(key, {"schema": diskcache.SCHEMA_VERSION, "key": key,
+                        **MALFORMED[kind]})
+        reset_run_cache_stats()
+
+        got, _ = run_baseline(WORKLOAD, scale="tiny")
+        s = run_cache_stats()
+        assert s.kinds[kind].corrupt == s.corrupt == 1
+        assert (s.kinds[kind].hits, s.kinds[kind].writes) == (0, 1)
+        assert s.simulations == 1
+        assert got == expected
+
+        # Rewritten: the next lookup of this kind hits.
+        if kind == "result":
+            clear_run_cache()
+        else:
+            _forget_results()
+        reset_run_cache_stats()
+        again, _ = run_baseline(WORKLOAD, scale="tiny")
+        s = run_cache_stats()
+        assert s.kinds[kind].hits == 1 and s.corrupt == 0
+        assert again == expected
+
+    @pytest.mark.parametrize("field", ["schema", "key"])
+    @pytest.mark.parametrize("kind", diskcache.KINDS)
+    def test_other_schema_or_key_is_a_miss(self, cache_dir, builds, kind,
+                                           field):
+        key = _kind_key(kind)
+        payload = {"schema": diskcache.SCHEMA_VERSION, "key": key,
+                   **MALFORMED[kind]}
+        payload[field] = "other"
+        diskcache.stores()[kind].put(key, payload)
+        reset_run_cache_stats()
+        run_baseline(WORKLOAD, scale="tiny")
+        s = run_cache_stats()
+        assert s.kinds[kind].misses == 1 and s.corrupt == 0
+        assert s.kinds[kind].writes == 1
 
 
 class TestTraceFirstDispatch:
@@ -711,7 +728,8 @@ class TestStaleCode:
             "trace": trace_key(WORKLOAD, "tiny", 1),
             "grid": grid_fingerprint([point]),
         }
-        runner._disk_store(point.key(), _make_stats(), None)
+        diskcache.get_cache().save(
+            point.key(), stats=_make_stats().state_dict(), miss_map=None)
         clear_run_cache()
         assert runner.peek_cached(point.key()) is not None
 

@@ -125,6 +125,29 @@ class TestBitIdentity:
         assert exc.value.kind == "transient"
 
 
+class TestDurableOrder:
+    """A point's result is in the disk cache before its ``completed``
+    record is emitted, so a journal replay never trusts a completion
+    whose result is missing.  With worker processes the worker writes
+    it before sending its outcome."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_result_stored_before_completed(self, cache_dir, jobs):
+        points = _points()
+        store = diskcache.DiskCache(cache_dir)
+        stored = {}
+
+        def sink(event):
+            if event["event"] == "completed" and event["attempt"]:
+                payload = store.get(points[event["index"]].key())
+                stored[event["index"]] = payload and payload["stats"]
+
+        report = sweep(points, jobs=jobs, progress=None, events=sink,
+                       fault_plan=FaultPlan())
+        assert report.ok
+        assert stored == dict(enumerate(_clean_states()))
+
+
 # ----------------------------------------------------------------------
 # Event stream mechanics
 # ----------------------------------------------------------------------
@@ -313,7 +336,8 @@ def _fake_run_serial(point, use_cache):
     stats.cycles = float(int(digest[20:28], 16) % 99991) + 1.0
     if use_cache:
         runner.seed_cache(point.key(), stats, None)
-        runner._disk_store(point.key(), stats, None)
+        diskcache.get_cache().save(point.key(), stats=stats.state_dict(),
+                                   miss_map=None)
     return stats, None, "sim", 0.001
 
 
@@ -397,4 +421,4 @@ class TestAcceptanceScale:
         # 1197 disk hits; 777/778 (torn) + 999 (never cached) re-ran.
         assert summary2["sources"]["disk"] == 1197
         assert summary2["sources"]["sim"] == 3
-        assert runner.run_cache_stats().cache_corrupt == 2
+        assert runner.run_cache_stats().kinds["result"].corrupt == 2
