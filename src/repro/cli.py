@@ -814,8 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="AST-based project lints (snapshot coverage, determinism, "
-             "hot-loop hygiene, crash ordering); see docs/LINTING.md",
+        help="AST-based project lints (determinism, hot-loop hygiene, "
+             "crash ordering); see docs/LINTING.md",
     )
     from repro.lint.cli import add_arguments as _add_lint_arguments
     _add_lint_arguments(lint)

@@ -11,9 +11,10 @@ order — the spatio-temporal encoding shared with PIF/MANA/Jukebox.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
+
 
 #: Cache blocks covered by one spatial region (paper value).
 REGION_BLOCKS = 32
@@ -77,7 +78,7 @@ class SpatialRegion:
         return f"SpatialRegion(base={self.base:#x}, vector={self.vector:#010x})"
 
 
-class CompressionBuffer(SimComponent):
+class CompressionBuffer(Restorable):
     """16-entry fully associative FIFO of in-flight spatial regions.
 
     ``sink`` receives each evicted (completed) region; the Hierarchical
@@ -146,27 +147,3 @@ class CompressionBuffer(SimComponent):
         return [r.copy() for r in self._entries]
 
     # ------------------------------------------------------------------
-    # SimComponent protocol (``sink`` is wiring and is preserved)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.clear()
-
-    def state_dict(self) -> Dict[str, object]:
-        last = self._last_hit
-        return {
-            "entries": [(r.base, r.vector) for r in self._entries],
-            # _last_hit always aliases a live entry (or is None), so an
-            # index keeps the snapshot self-contained.
-            "last_hit": self._entries.index(last) if last is not None else -1,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("entries", "last_hit"))
-        self._entries = [
-            SpatialRegion(base, vector) for base, vector in state["entries"]
-        ]
-        idx = state["last_hit"]
-        self._last_hit = self._entries[idx] if idx >= 0 else None
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"occupancy": len(self._entries) / self.capacity}

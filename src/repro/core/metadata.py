@@ -11,10 +11,10 @@ entries × 8 ways the MAT costs 1.94 KB, which
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.compression import SpatialRegion
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 
 #: Spatial regions per segment (paper value).
 SEGMENT_REGIONS = 32
@@ -85,7 +85,7 @@ class Segment:
         )
 
 
-class MetadataBuffer(SimComponent):
+class MetadataBuffer(Restorable):
     """Circular in-memory store of Bundle footprint segments.
 
     Allocation advances a rotating pointer; when the buffer wraps, the
@@ -150,25 +150,6 @@ class MetadataBuffer(SimComponent):
             return seg
         raise RuntimeError("metadata buffer exhausted: every segment protected")
 
-    def invalidate_chain(self, head_index: int) -> None:
-        """Drop a chain starting at ``head_index`` (owner bookkeeping only).
-
-        Segments stay physically allocated (circular reclaim will reuse
-        them); this only severs the list so stale links are never
-        followed.
-        """
-        index = head_index
-        seen = set()
-        while 0 <= index < self.n_segments and index not in seen:
-            seen.add(index)
-            seg = self._segments[index]
-            if seg is None:
-                break
-            nxt = seg.next_seg
-            seg.next_seg = -1
-            seg.n_valid = 0
-            index = nxt
-
     def chain(self, head_index: int, bundle_id: int) -> List[Segment]:
         """Return the segment chain for ``bundle_id`` starting at
         ``head_index``; stops at ownership mismatches (stale pointers)."""
@@ -184,73 +165,6 @@ class MetadataBuffer(SimComponent):
             index = seg.next_seg
         return out
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol (``on_invalidate`` is wiring, preserved)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._segments = [None] * self.n_segments
-        self._next_alloc = 0
-        self.allocations = 0
-        self.reclaims = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        # A segment's ``regions`` list may be longer than ``n_valid``
-        # (superseding records truncate by lowering n_valid), so both
-        # are captured.
-        segs = []
-        for seg in self._segments:
-            if seg is None:
-                segs.append(None)
-            else:
-                segs.append({
-                    "bundle_id": seg.bundle_id,
-                    "regions": [(r.base, r.vector) for r in seg.regions],
-                    "num_insts": seg.num_insts,
-                    "next_seg": seg.next_seg,
-                    "n_valid": seg.n_valid,
-                })
-        return {
-            "segments": segs,
-            "next_alloc": self._next_alloc,
-            "allocations": self.allocations,
-            "reclaims": self.reclaims,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(
-            self, state, ("segments", "next_alloc", "allocations", "reclaims")
-        )
-        segs = state["segments"]
-        if len(segs) != self.n_segments:
-            raise ValueError(
-                f"snapshot has {len(segs)} segments, buffer has "
-                f"{self.n_segments}"
-            )
-        rebuilt: List[Optional[Segment]] = []
-        for index, saved in enumerate(segs):
-            if saved is None:
-                rebuilt.append(None)
-                continue
-            seg = Segment(index, saved["bundle_id"], saved["num_insts"])
-            seg.regions = [
-                SpatialRegion(base, vector)
-                for base, vector in saved["regions"]
-            ]
-            seg.next_seg = saved["next_seg"]
-            seg.n_valid = saved["n_valid"]
-            rebuilt.append(seg)
-        self._segments = rebuilt
-        self._next_alloc = state["next_alloc"]
-        self.allocations = state["allocations"]
-        self.reclaims = state["reclaims"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        used = sum(1 for s in self._segments if s is not None)
-        return {
-            "used": float(used),
-            "reclaims": float(self.reclaims),
-        }
-
     def __repr__(self) -> str:
         used = sum(1 for s in self._segments if s is not None)
         return (
@@ -259,7 +173,7 @@ class MetadataBuffer(SimComponent):
         )
 
 
-class MetadataAddressTable(SimComponent):
+class MetadataAddressTable(Restorable):
     """On-chip set-associative Bundle ID -> head-segment pointer table.
 
     Default geometry matches the paper: 512 entries, 8-way, LRU, 24-bit
@@ -334,50 +248,6 @@ class MetadataAddressTable(SimComponent):
         per_entry = tag_bits + self.pointer_bits + 1
         lru_bits = self.n_sets * self.assoc
         return self.n_entries * per_entry + lru_bits
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("sets", "hits", "misses", "evictions", "invalidations")
-
-    def reset(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "sets": [list(entries.items()) for entries in self._sets],
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        sets = state["sets"]
-        if len(sets) != self.n_sets:
-            raise ValueError(
-                f"snapshot has {len(sets)} sets, MAT has {self.n_sets}"
-            )
-        for entries, saved in zip(self._sets, sets):
-            entries.clear()
-            entries.update(saved)
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]
-        self.invalidations = state["invalidations"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        lookups = self.hits + self.misses
-        return {
-            "occupied": float(len(self)),
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-        }
 
     def __repr__(self) -> str:
         return (

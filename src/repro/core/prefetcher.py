@@ -33,7 +33,6 @@ from repro.core.metadata import (
 )
 from repro.core.record import RecordEngine
 from repro.core.replay import ReplayEngine
-from repro.cpu.component import check_state_fields
 from repro.isa.instructions import BranchKind
 from repro.isa.loader import bundle_id_of
 from repro.prefetchers.base import InstructionPrefetcher
@@ -101,8 +100,24 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
         self.shared_mat: Optional[MetadataAddressTable] = None
         self.shared_buffer: Optional[MetadataBuffer] = None
         self.record_enabled: bool = True
+        self._nin_a = self._kind_a = self._tgt_a = self._tag_a = None
 
     # ------------------------------------------------------------------
+    def bind(self, sim, trace) -> None:
+        super().bind(sim, trace)
+        # Commit-hot trace arrays (the decode tables are bound by the
+        # base class).
+        self._nin_a = trace.ninstr
+        self._kind_a = trace.kind
+        self._tgt_a = trace.target
+        self._tag_a = trace.tagged
+
+    def __getstate__(self) -> dict:
+        state = super().__getstate__()
+        del state["_nin_a"], state["_kind_a"], state["_tgt_a"], \
+            state["_tag_a"]
+        return state
+
     def reset(self) -> None:
         cfg = self.config
         if self.shared_mat is not None and self.shared_buffer is not None:
@@ -125,17 +140,6 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
         self._paced = cfg.paced
         self._track = cfg.track_bundles
         self._issue_per = cfg.issue_per_commit
-        # Commit-hot trace arrays (the decode tables are bound by the
-        # base class); wiring, not state — attach() binds the trace
-        # before reset().
-        tr = self.trace
-        if tr is not None:
-            self._nin_a = tr.ninstr
-            self._kind_a = tr.kind
-            self._tgt_a = tr.target
-            self._tag_a = tr.tagged
-        else:
-            self._nin_a = self._kind_a = self._tgt_a = self._tag_a = None
         self._bundle_insts = 0
         self._fifo: list = []          # (block, extra_latency) pending issue
         self._fifo_pos = 0
@@ -311,99 +315,6 @@ class HierarchicalPrefetcher(InstructionPrefetcher):
     def _region_evicted(self, region) -> None:
         if self.record.active:
             self.record.observe_region(region)
-
-    # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    #
-    # The default deepcopy snapshot cannot be used here: the record
-    # engine's ``on_write`` / compression buffer's ``sink`` callbacks
-    # bind this prefetcher (which holds sim/trace/hierarchy wiring), and
-    # record-chain members must survive as references into the Metadata
-    # Buffer.  A structured snapshot serializes each sub-component and
-    # reloads into the already-wired objects; the record engine loads
-    # after the buffer so segment indices resolve.
-    # ------------------------------------------------------------------
-    _STATE_SCALARS = (
-        "_bundle_insts", "_fifo_pos", "_now", "_commit_i", "_last_block",
-        "_bundles_triggered", "_replays_started", "_mat_hits",
-        "_bundle_start_cycle", "_exec_cycles_sum", "_exec_cycles_n",
-        "_footprint_sum", "_footprint_n", "_jaccard_sum", "_jaccard_n",
-        "_current_bundle_id",
-    )
-
-    def state_dict(self) -> Dict[str, object]:
-        if self.record is None:
-            self.reset()
-        if self.shared_mat is not None or self.shared_buffer is not None:
-            raise ValueError(
-                "HierarchicalPrefetcher snapshots are single-core only: "
-                "shared-metadata mode holds cross-core references"
-            )
-        state: Dict[str, object] = {
-            "mat": self.mat.state_dict(),
-            "buffer": self.buffer.state_dict(),
-            "record": self.record.state_dict(),
-            "replay": self.replay.state_dict(),
-            "compression": self.compression.state_dict(),
-            "fifo": list(self._fifo),
-            "last_footprints": {
-                bid: sorted(blocks)
-                for bid, blocks in self._last_footprints.items()
-            },
-            "current_footprint": (
-                sorted(self._current_footprint)
-                if self._current_footprint is not None
-                else None
-            ),
-        }
-        for field in self._STATE_SCALARS:
-            state[field.lstrip("_")] = getattr(self, field)
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        if self.record is None:
-            self.reset()
-        if self.shared_mat is not None or self.shared_buffer is not None:
-            raise ValueError(
-                "HierarchicalPrefetcher snapshots are single-core only"
-            )
-        expected = (
-            "mat", "buffer", "record", "replay", "compression", "fifo",
-            "last_footprints", "current_footprint",
-        ) + tuple(f.lstrip("_") for f in self._STATE_SCALARS)
-        check_state_fields(self, state, expected)
-        self.mat.load_state_dict(state["mat"])
-        self.buffer.load_state_dict(state["buffer"])
-        # Record resolves chain indices through the (reloaded) buffer.
-        self.record.load_state_dict(state["record"])
-        self.replay.load_state_dict(state["replay"])
-        self.compression.load_state_dict(state["compression"])
-        self._fifo = [tuple(entry) for entry in state["fifo"]]
-        self._last_footprints = {
-            bid: set(blocks)
-            for bid, blocks in state["last_footprints"].items()
-        }
-        current = state["current_footprint"]
-        self._current_footprint = set(current) if current is not None else None
-        for field in self._STATE_SCALARS:
-            setattr(self, field, state[field.lstrip("_")])
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        out = {
-            "bundles_triggered": float(self._bundles_triggered),
-            "mat_hit_rate": (
-                self._mat_hits / self._bundles_triggered
-                if self._bundles_triggered else 0.0
-            ),
-            "fifo_pending": float(len(self._fifo) - self._fifo_pos),
-        }
-        for name, unit in (("mat", self.mat), ("replay", self.replay),
-                           ("compression", self.compression)):
-            if unit is not None:
-                for key, value in unit.stats_snapshot().items():
-                    out[f"{name}.{key}"] = value
-        return out
 
     # ------------------------------------------------------------------
     def on_measurement_start(self) -> None:

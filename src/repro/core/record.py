@@ -11,11 +11,11 @@ most recent execution's footprint survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.compression import SpatialRegion
 from repro.core.metadata import MetadataBuffer, Segment
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 
 #: Default cap on segments per Bundle record ("a predetermined
 #: threshold" in §5.3; 64 segments = 2048 spatial regions).
@@ -34,7 +34,7 @@ class RecordResult:
     truncated: bool
 
 
-class RecordEngine(SimComponent):
+class RecordEngine(Restorable):
     """Writes one Bundle's spatial-region stream into the Metadata Buffer."""
 
     def __init__(
@@ -141,60 +141,6 @@ class RecordEngine(SimComponent):
         self._chain = []
         self._reuse = []
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    #
-    # ``buffer`` and ``on_write`` are wiring and are preserved.  Chain
-    # members are serialized as segment *indices*; load_state_dict
-    # resolves them through ``self.buffer``, so the owning composite
-    # (HierarchicalPrefetcher) must load the Metadata Buffer first.
-    # Index resolution also restores the aliasing between ``_reuse`` and
-    # ``_chain`` entries that in-place superseding creates.
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("bundle_id", "reuse", "chain", "current", "n_regions",
-                     "insts", "truncated", "active")
-
-    def reset(self) -> None:
-        self._bundle_id = -1
-        self._reuse = []
-        self._chain = []
-        self._current = None
-        self._n_regions = 0
-        self._insts = 0
-        self._truncated = False
-        self.active = False
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "bundle_id": self._bundle_id,
-            "reuse": [seg.index for seg in self._reuse],
-            "chain": [seg.index for seg in self._chain],
-            "current": self._current.index if self._current is not None else -1,
-            "n_regions": self._n_regions,
-            "insts": self._insts,
-            "truncated": self._truncated,
-            "active": self.active,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self._bundle_id = state["bundle_id"]
-        self._reuse = [self.buffer.segment(i) for i in state["reuse"]]
-        self._chain = [self.buffer.segment(i) for i in state["chain"]]
-        current = state["current"]
-        self._current = self.buffer.segment(current) if current >= 0 else None
-        self._n_regions = state["n_regions"]
-        self._insts = state["insts"]
-        self._truncated = state["truncated"]
-        self.active = state["active"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {
-            "active": 1.0 if self.active else 0.0,
-            "chain_segments": float(len(self._chain)),
-        }
-
-    # ------------------------------------------------------------------
     def _open_segment(self, num_insts: int) -> None:
         position = len(self._chain)
         if position < len(self._reuse):

@@ -10,11 +10,11 @@ number of instructions executed inside the Bundle surpasses the
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.compression import SpatialRegion
 from repro.core.metadata import MetadataBuffer
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 
 
 class SegmentView:
@@ -40,7 +40,7 @@ class SegmentView:
                 f"regions={len(self.regions)}, num_insts={self.num_insts})")
 
 
-class ReplayEngine(SimComponent):
+class ReplayEngine(Restorable):
     """Paced cursor over one Bundle's segment chain."""
 
     def __init__(self, buffer: MetadataBuffer, initial_segments: int = 2):
@@ -113,42 +113,3 @@ class ReplayEngine(SimComponent):
         return max(0, len(self._segments) - self._cursor)
 
     # ------------------------------------------------------------------
-    # SimComponent protocol (``buffer`` is wiring; SegmentViews are
-    # already snapshots, so they serialize by value)
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("segments", "cursor", "bundle_id", "active")
-
-    def reset(self) -> None:
-        self.stop()
-        self._bundle_id = -1
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "segments": [
-                (v.index, [(r.base, r.vector) for r in v.regions], v.num_insts)
-                for v in self._segments
-            ],
-            "cursor": self._cursor,
-            "bundle_id": self._bundle_id,
-            "active": self.active,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self._segments = [
-            SegmentView(
-                index,
-                [SpatialRegion(base, vector) for base, vector in regions],
-                num_insts,
-            )
-            for index, regions, num_insts in state["segments"]
-        ]
-        self._cursor = state["cursor"]
-        self._bundle_id = state["bundle_id"]
-        self.active = state["active"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {
-            "active": 1.0 if self.active else 0.0,
-            "remaining": float(self.remaining_segments),
-        }

@@ -7,7 +7,6 @@ prefetchers.  The model is deterministic: identical traces and
 configurations produce identical cycle counts.
 """
 
-from repro.cpu.component import ComponentRegistry, SimComponent
 from repro.cpu.config import DEFAULT_WARMUP, CoreConfig, MachineConfig
 from repro.cpu.probes import ProbeBus
 from repro.cpu.requests import RequestLatencyTracker
@@ -26,8 +25,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "ComponentRegistry",
-    "SimComponent",
     "ProbeBus",
     "RequestLatencyTracker",
     "CoreConfig",

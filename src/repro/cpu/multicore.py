@@ -42,13 +42,6 @@ class MultiCoreResult:
         return (self.core_stats[core].ipc
                 / self.baseline_stats[core].ipc - 1.0)
 
-    def replay_only_speedups(self) -> List[float]:
-        return [
-            self.speedup(core)
-            for core in range(self.n_cores)
-            if core != self.recorder_core
-        ]
-
     def coverage(self, core: int) -> float:
         base = self.baseline_stats[core].l1i_misses
         if not base:

@@ -2,9 +2,9 @@
 
 A :class:`ProbeBus` with interval N fires once every N committed
 instructions *inside the measurement window*, sampling the machine
-(IPC, L1-I MPKI, prefetch accuracy, plus any subscriber hooks) and
-publishing the resulting timelines into ``SimStats.extra`` as flat
-immutable tuples under ``probe.*`` keys.
+(IPC, L1-I MPKI, prefetch accuracy) and publishing the resulting
+timelines into ``SimStats.extra`` as flat immutable tuples under
+``probe.*`` keys.
 
 Zero-overhead-when-disabled is structural, not conditional: the
 simulator pre-splits the measurement range at probe boundaries and runs
@@ -12,14 +12,16 @@ each chunk through the unmodified hot loop, firing the bus only between
 chunks.  With probes disabled the measurement window is one chunk and
 the hot loop is untouched.
 
-Probes never fire during warmup, so warmup checkpoints (see
-:mod:`repro.experiments.runner`) are probe-configuration-independent.
+Probes never fire during warmup, so a probed run's counters equal an
+unprobed run's.  A warmup checkpoint (the pickled machine, see
+:mod:`repro.experiments.runner`) carries the bus it was taken with.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
+from repro.cpu.restore import Restorable
 from repro.memory.cache import ORIGIN_PF
 
 #: One probe sample: cumulative measured instructions and cycles, plus
@@ -27,17 +29,15 @@ from repro.memory.cache import ORIGIN_PF
 ProbeSample = Tuple[float, float, float, float, float]
 
 
-class ProbeBus:
+class ProbeBus(Restorable):
     """Fires sampling hooks every ``interval`` committed instructions.
 
-    ``interval <= 0`` disables the bus entirely.  Subscribers are called
-    as ``fn(sim, sample)`` after each built-in sample is taken.
+    ``interval <= 0`` disables the bus entirely.
     """
 
     def __init__(self, interval: int = 0):
         self.interval = int(interval)
         self.samples: List[ProbeSample] = []
-        self._subscribers: List[Callable] = []
         self._next_fire = 0
         self._prev_instructions = 0
         self._prev_cycles = 0.0
@@ -46,10 +46,6 @@ class ProbeBus:
     @property
     def enabled(self) -> bool:
         return self.interval > 0
-
-    def subscribe(self, fn: Callable) -> None:
-        """Register ``fn(sim, sample)`` to run at every probe point."""
-        self._subscribers.append(fn)
 
     # ------------------------------------------------------------------
     def begin(self) -> None:
@@ -85,8 +81,6 @@ class ProbeBus:
         self._prev_cycles = cycles
         self._prev_misses = stats.l1i_misses
         self._next_fire += self.interval
-        for fn in self._subscribers:
-            fn(sim, sample)
         return sample
 
     def publish(self, stats) -> None:

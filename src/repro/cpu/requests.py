@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
+from repro.cpu.restore import Restorable
+
 #: Boundary sentinel past any trace index (traces are far smaller).
 _NO_BOUNDARY = 1 << 62
 
@@ -48,7 +50,7 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-class RequestLatencyTracker:
+class RequestLatencyTracker(Restorable):
     """Timestamps request boundaries; publishes SLO/tail metrics.
 
     Lifecycle mirrors :class:`~repro.cpu.probes.ProbeBus`: ``begin`` at
@@ -115,14 +117,6 @@ class RequestLatencyTracker:
         self.next_boundary = (bounds[bptr] if bptr < len(bounds)
                               else _NO_BOUNDARY)
         # lint: hot-end
-
-    def reset(self) -> None:
-        self.active = False
-        self.next_boundary = _NO_BOUNDARY
-        self._bounds = []
-        self._bptr = 0
-        self._times = []
-        self._times_append = self._times.append
 
     # ------------------------------------------------------------------
     def publish(self, stats) -> None:

@@ -18,13 +18,11 @@ warmup boundary while all microarchitectural state (caches, predictors,
 prefetcher metadata) persists — mirroring the paper's 100M-warmup /
 100M-measure methodology at reduced scale.
 
-The machine is composed of :class:`~repro.cpu.component.SimComponent`
-models held in a :class:`~repro.cpu.component.ComponentRegistry`; the
-simulator is itself a ``SimComponent`` whose ``state_dict`` is a
-complete machine snapshot.  ``run`` splits into :meth:`warmup` /
-:meth:`measure`, with :meth:`resume` restoring a snapshot taken at the
-warmup boundary (the checkpoint path in
-:mod:`repro.experiments.runner`).  An optional
+``run`` splits into :meth:`warmup` / :meth:`measure`.  A warmup
+checkpoint (the path in :mod:`repro.experiments.runner`) is the machine
+itself, pickled by :meth:`~FrontEndSimulator.state_dict` without what
+the trace owns; :meth:`~FrontEndSimulator.resume` unpickles it and
+binds the trace again.  An optional
 :class:`~repro.cpu.probes.ProbeBus` samples the machine every
 ``probe_interval`` measured instructions by pre-splitting the
 measurement window at probe boundaries — the hot loop itself is never
@@ -33,20 +31,20 @@ instrumented.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import pickle
+from typing import Optional
 
-from repro.cpu.component import ComponentRegistry, SimComponent, \
-    check_state_fields
 from repro.cpu.config import DEFAULT_WARMUP, MachineConfig
 from repro.cpu.probes import ProbeBus
 from repro.cpu.requests import RequestLatencyTracker
+from repro.cpu.restore import Restorable
 from repro.cpu.stats import SimStats
 from repro.frontend.fdip import FDIPFrontEnd, PEN_BTB_MISS, PEN_MISPREDICT
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import InstructionTLB
 
 
-class FrontEndSimulator(SimComponent):
+class FrontEndSimulator(Restorable):
     """One simulated core running one trace."""
 
     def __init__(
@@ -58,25 +56,15 @@ class FrontEndSimulator(SimComponent):
         track_requests: Optional[bool] = None,
     ):
         self.config = config or MachineConfig()
-        self.components = ComponentRegistry()
-        self.stats = self.components.register("stats", SimStats())
-        self.hierarchy = self.components.register(
-            "hierarchy", MemoryHierarchy(self.config.hierarchy, self.stats)
-        )
-        self.frontend = self.components.register(
-            "frontend", FDIPFrontEnd(self.config.frontend, self.stats)
-        )
-        self.itlb = self.components.register(
-            "itlb",
-            InstructionTLB(
-                self.config.core.itlb_entries,
-                self.config.core.itlb_walk_latency,
-                policy=self.config.core.itlb_policy,
-            ),
+        self.stats = SimStats()
+        self.hierarchy = MemoryHierarchy(self.config.hierarchy, self.stats)
+        self.frontend = FDIPFrontEnd(self.config.frontend, self.stats)
+        self.itlb = InstructionTLB(
+            self.config.core.itlb_entries,
+            self.config.core.itlb_walk_latency,
+            policy=self.config.core.itlb_policy,
         )
         self.prefetcher = prefetcher
-        if prefetcher is not None:
-            self.components.register("prefetcher", prefetcher)
         if track_block_misses:
             self.hierarchy.l2_miss_map = {}
         self.probes = ProbeBus(probe_interval)
@@ -84,13 +72,10 @@ class FrontEndSimulator(SimComponent):
         #: ``track_requests=None`` auto-enables on traces that carry an
         #: open-loop arrival process (``trace.request_gaps``); ``False``
         #: forces it off, ``True`` demands it (errors at measurement
-        #: start if the trace has no arrivals).  Like the probe bus,
-        #: tracker state is measurement-local and excluded from machine
-        #: snapshots.
+        #: start if the trace has no arrivals).
         self._track_requests = track_requests
         self.reqtrack = RequestLatencyTracker()
         self.now = 0.0
-        self.commit_index = 0
         self.trace = None
         self._ran = False
         self._measuring = False
@@ -115,10 +100,9 @@ class FrontEndSimulator(SimComponent):
     def warmup(self, trace, warmup_fraction: float = DEFAULT_WARMUP) -> int:
         """Bind ``trace`` and run the warmup window.
 
-        Returns the warmup-end trace index.  The machine state at
-        return is exactly what :meth:`state_dict` should snapshot for a
-        warmup checkpoint; :meth:`measure` then runs the measured
-        window.
+        Returns the warmup-end trace index.  The machine at return is
+        what :meth:`state_dict` pickles for a warmup checkpoint;
+        :meth:`measure` then runs the measured window.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
@@ -131,18 +115,37 @@ class FrontEndSimulator(SimComponent):
         self._next_index = warmup_end
         return warmup_end
 
-    def resume(self, trace, state: Dict[str, object]) -> "FrontEndSimulator":
-        """Bind ``trace`` and restore a machine snapshot.
+    def state_dict(self) -> bytes:
+        """This machine, pickled: a warmup checkpoint.
 
-        The snapshot must come from a simulator with the same
-        configuration running the same trace (warmup checkpoints are
-        keyed accordingly).  A stale or mismatched snapshot raises
-        ``ValueError`` — callers fall back to a cold :meth:`warmup` on
-        a *fresh* simulator.
+        The pickle keeps every object's identity and aliasing, and it
+        leaves out what the trace owns (see the ``__getstate__`` of the
+        simulator, the front end and the prefetchers).  It can be taken
+        at any commit-range boundary, inside the measured window too.
         """
-        self._begin_run(trace)
-        self.load_state_dict(state)
-        return self
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def resume(cls, trace, state: bytes,
+               config: MachineConfig) -> "FrontEndSimulator":
+        """The machine pickled in ``state``, bound to ``trace``.
+
+        The checkpoint must come from a simulator with the same
+        configuration running the same trace (warmup checkpoints are
+        keyed accordingly); one that holds anything but a simulator
+        of ``config`` raises ``ValueError``.  Binding redoes only the
+        wiring (the trace's tables, the front end's prediction pass):
+        the run continues where the checkpoint left it.
+        """
+        sim = pickle.loads(state)
+        if not isinstance(sim, cls) or sim.config != config:
+            raise ValueError(
+                "checkpoint is not a simulator of this machine "
+                "configuration")
+        sim._bind(trace)
+        if sim.prefetcher is not None:
+            sim.prefetcher.bind(sim, trace)
+        return sim
 
     def measure(self) -> SimStats:
         """Run from the current position to the end of the trace."""
@@ -193,18 +196,24 @@ class FrontEndSimulator(SimComponent):
             raise RuntimeError(
                 "this FrontEndSimulator already ran a trace; stale "
                 "microarchitectural state would corrupt a second run — "
-                "call reset() first or construct a fresh simulator"
+                "construct a fresh simulator"
             )
         if len(trace) == 0:
             raise ValueError("empty trace")
-        # Not machine state: resume()/_begin_run re-arm it before any
-        # snapshot is loaded, so checkpoints deliberately exclude it.
-        self._ran = True  # lint: ephemeral
+        self._ran = True
+        self._bind(trace)
+        if self.prefetcher is not None:
+            self.prefetcher.attach(self, trace)
+
+    def _bind(self, trace) -> None:
         self.trace = trace
         self.frontend.bind(trace, self.hierarchy, self.itlb,
                            self.config.core.itlb_prefetch)
-        if self.prefetcher is not None:
-            self.prefetcher.attach(self, trace)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["trace"]
+        return state
 
     # ------------------------------------------------------------------
     def _begin_measurement(self) -> None:
@@ -352,83 +361,8 @@ class FrontEndSimulator(SimComponent):
         stats.stall_mispredict += stall_mispredict
         frontend.count_branches()
         self.now = now
-        # Derived from next_index; load_state_dict recomputes it.
-        self.commit_index = (  # lint: ephemeral
-            end - 1 if end > start else self.commit_index
-        )
         self._last_block = last_block
         self._last_page = last_page
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol: the whole machine
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("now", "next_index", "last_block", "last_page",
-                     "measuring", "cycle0", "itlb_acc0", "itlb_miss0",
-                     "itlb_pfp0", "itlb_pfi0", "itlb_pfh0", "components")
-
-    def reset(self) -> None:
-        """Return the whole machine to power-on state for another run."""
-        self.components.reset()
-        self.now = 0.0
-        self.commit_index = 0
-        self.trace = None
-        self._ran = False
-        self._measuring = False
-        self._next_index = 0
-        self._last_block = -1
-        self._last_page = -1
-        self._cycle0 = 0.0
-        self._itlb_acc0 = 0
-        self._itlb_miss0 = 0
-        self._itlb_pfp0 = 0
-        self._itlb_pfi0 = 0
-        self._itlb_pfh0 = 0
-        self.probes.begin()
-        self.reqtrack.reset()
-
-    def state_dict(self) -> Dict[str, object]:
-        """Complete machine snapshot (components + commit position).
-
-        Probe samples are measurement-local observability output, not
-        machine state, and are deliberately excluded — a warmup
-        checkpoint is therefore probe-configuration-independent.
-        """
-        return {
-            "now": self.now,
-            "next_index": self._next_index,
-            "last_block": self._last_block,
-            "last_page": self._last_page,
-            "measuring": self._measuring,
-            "cycle0": self._cycle0,
-            "itlb_acc0": self._itlb_acc0,
-            "itlb_miss0": self._itlb_miss0,
-            "itlb_pfp0": self._itlb_pfp0,
-            "itlb_pfi0": self._itlb_pfi0,
-            "itlb_pfh0": self._itlb_pfh0,
-            "components": self.components.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self.components.load_state_dict(state["components"])
-        self.now = state["now"]
-        self._next_index = state["next_index"]
-        self._last_block = state["last_block"]
-        self._last_page = state["last_page"]
-        self._measuring = state["measuring"]
-        self._cycle0 = state["cycle0"]
-        self._itlb_acc0 = state["itlb_acc0"]
-        self._itlb_miss0 = state["itlb_miss0"]
-        self._itlb_pfp0 = state["itlb_pfp0"]
-        self._itlb_pfi0 = state["itlb_pfi0"]
-        self._itlb_pfh0 = state["itlb_pfh0"]
-        self.commit_index = max(0, self._next_index - 1)
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        out = self.components.stats_snapshot()
-        out["now"] = self.now
-        out["next_index"] = float(self._next_index)
-        return out
 
 
 def simulate(

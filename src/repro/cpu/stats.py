@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.cpu.component import SimComponent
+from repro.cpu.restore import Restorable
 
 #: Serving-level keys for miss/latency accounting.
 LEVEL_L2 = "L2"
@@ -28,7 +28,7 @@ def _per_level() -> Dict[str, int]:
     return {LEVEL_L2: 0, LEVEL_LLC: 0, LEVEL_DRAM: 0}
 
 
-class SimStats(SimComponent):
+class SimStats(Restorable):
     """All counters collected during one simulation run."""
 
     def __init__(self) -> None:
@@ -213,12 +213,9 @@ class SimStats(SimComponent):
         return out
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore a :meth:`state_dict` snapshot *in place*.
+        """Restore a :meth:`state_dict` snapshot in place.
 
-        In place matters: the hierarchy, front end and prefetchers all
-        hold references to this same ``SimStats`` object, so counters
-        must be loaded into it rather than replacing it.  Strict: a
-        state whose field set differs from the current class
+        Strict: a state whose field set differs from the current class
         (older/newer schema) raises ``ValueError`` so callers treat the
         payload as stale rather than silently loading partial counters.
         """
@@ -245,13 +242,6 @@ class SimStats(SimComponent):
         stats = cls()
         stats.load_state_dict(state)
         return stats
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {
-            "ipc": self.ipc,
-            "l1i_mpki": self.l1i_mpki,
-            "instructions": float(self.instructions),
-        }
 
     def __eq__(self, other: object) -> bool:
         """Field-exact equality (every raw counter identical)."""

@@ -10,9 +10,9 @@ per kind of artifact:
 kind      directory           value built from the payload
 ========  ==================  =========================================
 result    ``<root>``          ``(SimStats, miss_map)`` of one point
-warmup    ``<root>/warmup``   a simulator resumed from its checkpoint
+warmup    ``<root>/warmup``   the pickled machine, bound to its trace
 trace     ``<root>/traces``   the :class:`~repro.workloads.trace.Trace`
-pass      ``<root>/passes``   a trace's branch-prediction pass
+pass      ``<root>/passes``   a trace's branch-prediction event bytes
 ========  ==================  =========================================
 
 Layout (see docs/SWEEP_CACHE.md)::
@@ -35,8 +35,9 @@ with their SHA-256::
 
 where the inner payload is ``{"schema": SCHEMA_VERSION, "key": <full
 key string>, **fields}``, the fields being the kind's own (``stats``
-and ``miss_map`` for a result, ``state`` for a checkpoint, ``trace``
-for a trace, ``events`` and ``units`` for a pass).
+and ``miss_map`` for a result, ``state`` for a checkpoint (the bytes
+of ``FrontEndSimulator.state_dict``), ``trace`` for a trace, ``events``
+for a pass).
 
 One policy holds for every kind (:meth:`ArtifactStore.load`): a
 missing entry, or one whose ``schema`` or ``key`` differs, is a
@@ -78,7 +79,7 @@ from typing import Callable, Dict, Iterator, NamedTuple, Optional
 
 #: Bump whenever the payload layout or the meaning of cached counters
 #: changes; old entries are then ignored (and lazily overwritten).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Suffix appended to quarantined entry files.
 QUARANTINE_SUFFIX = ".corrupt"
@@ -479,8 +480,10 @@ def _result(payload: dict) -> tuple:
             None if miss_map is None else dict(miss_map))
 
 
-def _checkpoint(payload: dict, trace, build_sim: Callable[[], object]):
-    return build_sim().resume(trace, payload["state"])
+def _checkpoint(payload: dict, trace, config):
+    from repro.cpu.simulator import FrontEndSimulator
+
+    return FrontEndSimulator.resume(trace, payload["state"], config)
 
 
 def _trace(payload: dict):
@@ -489,12 +492,11 @@ def _trace(payload: dict):
     return Trace.from_payload(payload["trace"])
 
 
-def _bpu_pass(payload: dict, trace) -> tuple:
-    events, units = payload["events"], payload["units"]
-    if not (isinstance(events, bytes) and len(events) == len(trace)
-            and isinstance(units, dict)):
+def _bpu_pass(payload: dict, trace) -> bytes:
+    events = payload["events"]
+    if not (isinstance(events, bytes) and len(events) == len(trace)):
         raise ValueError("prediction pass does not fit its trace")
-    return events, units
+    return events
 
 
 #: The artifact table, by kind.  Results sit at the cache root itself,

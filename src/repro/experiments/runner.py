@@ -51,7 +51,7 @@ __all__ = [
     "DEFAULT_WARMUP",  # re-exported from repro.cpu.config (the source)
     "REPRESENTATIVE_WORKLOADS", "RunCacheStats", "cache_key",
     "code_hash", "trace_key", "pass_key", "get_trace",
-    "run_prefetcher", "run_baseline", "compare_all",
+    "run_prefetcher", "simulate_point", "run_baseline", "compare_all",
     "perfect_l1i_speedup", "run_cache_stats", "reset_run_cache_stats",
     "record_source", "seed_cache", "peek_cached", "clear_run_cache",
 ]
@@ -320,12 +320,32 @@ def run_prefetcher(
     disabled) on disk; ``use_cache=False`` neither reads nor writes
     either layer.
     """
-    key = _key(workload, scale, prefetcher, pf_kwargs, overrides,
-               track_block_misses, warmup, seed)
     if use_cache:
-        hit = peek_cached(key)
+        hit = peek_cached(_key(workload, scale, prefetcher, pf_kwargs,
+                               overrides, track_block_misses, warmup, seed))
         if hit is not None:
             return hit[0], hit[1]
+    return simulate_point(workload, prefetcher, scale, pf_kwargs, overrides,
+                          track_block_misses, warmup, seed, use_cache)
+
+
+def simulate_point(
+    workload: str,
+    prefetcher: Optional[str],
+    scale: str = "bench",
+    pf_kwargs: Optional[dict] = None,
+    overrides: Optional[dict] = None,
+    track_block_misses: bool = False,
+    warmup: float = DEFAULT_WARMUP,
+    seed: int = 1,
+    use_cache: bool = True,
+) -> Tuple[SimStats, Optional[dict]]:
+    """:func:`run_prefetcher` for a point known to miss the result
+    layers (a sweep probes each point before it schedules it): simulate
+    it, through the trace, pass and warmup stores, and cache the
+    result."""
+    key = _key(workload, scale, prefetcher, pf_kwargs, overrides,
+               track_block_misses, warmup, seed)
     stores = diskcache.stores()
     trace = get_trace(workload, scale=scale, seed=seed, use_cache=use_cache)
     config = MachineConfig()
@@ -343,31 +363,35 @@ def run_prefetcher(
             pkey = None
     from repro.cpu.simulator import FrontEndSimulator
 
-    def build_sim() -> FrontEndSimulator:
-        pf = (
-            make_prefetcher(prefetcher, **(pf_kwargs or {}))
-            if prefetcher else None
-        )
-        return FrontEndSimulator(
-            config=config, prefetcher=pf,
-            track_block_misses=track_block_misses,
-        )
-
     sim = None
     if use_cache:
         # A checkpoint that resume() rejects counts as corrupt, and the
         # point warms up cold on a fresh simulator.
         wkey = _warmup_key(workload, scale, prefetcher, pf_kwargs,
                            overrides, warmup, seed)
-        sim = stores["warmup"].load(wkey, trace, build_sim)
+        sim = stores["warmup"].load(wkey, trace, config)
+        if sim is not None:
+            # The warmup key leaves miss tracking out: this run's flag
+            # decides it, as it does for a fresh simulator.
+            sim.hierarchy.l2_miss_map = {} if track_block_misses else None
     if sim is None:
-        sim = build_sim()
+        pf = (
+            make_prefetcher(prefetcher, **(pf_kwargs or {}))
+            if prefetcher else None
+        )
+        sim = FrontEndSimulator(config=config, prefetcher=pf,
+                                track_block_misses=track_block_misses)
         sim.warmup(trace, warmup_fraction=warmup)
         if use_cache:
-            stores["warmup"].save(wkey, state=sim.state_dict())
+            state = sim.state_dict()
+            stores["warmup"].save(wkey, state=state)
+            # Pickling read every object's __dict__, which slows the
+            # attribute access of the pickled machine on CPython 3.11
+            # and 3.12 (repro.cpu.restore): measure on its unpickled
+            # twin instead.
+            sim = FrontEndSimulator.resume(trace, state, config)
     if pkey is not None:
-        events, units = trace.bpu_passes[bpu]
-        stores["pass"].save(pkey, events=events, units=units)
+        stores["pass"].save(pkey, events=trace.bpu_passes[bpu])
     stats = sim.measure()
     miss_map = (
         dict(sim.hierarchy.l2_miss_map) if track_block_misses else None

@@ -124,8 +124,11 @@ class SweepPoint:
             warmup=self.warmup, seed=self.seed,
         )
 
-    def run(self, use_cache: bool = True) -> Tuple[SimStats, Optional[dict]]:
-        return runner.run_prefetcher(
+    def simulate(self,
+                 use_cache: bool = True) -> Tuple[SimStats, Optional[dict]]:
+        """Simulate this point; the sweep has already probed the result
+        layers for it (:func:`repro.experiments.runner.simulate_point`)."""
+        return runner.simulate_point(
             self.workload, self.prefetcher, scale=self.scale,
             pf_kwargs=self.pf_kwargs, overrides=self.overrides,
             track_block_misses=self.track_block_misses,
@@ -217,7 +220,7 @@ def _run_serial(point: SweepPoint,
                 use_cache: bool) -> Tuple[SimStats, Optional[dict], str, float]:
     before = runner.run_cache_stats()
     start = time.perf_counter()
-    stats, miss_map = point.run(use_cache=use_cache)
+    stats, miss_map = point.simulate(use_cache=use_cache)
     elapsed = time.perf_counter() - start
     source = _classify(before, runner.run_cache_stats()) if use_cache else "sim"
     return stats, miss_map, source, elapsed

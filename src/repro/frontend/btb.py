@@ -10,12 +10,11 @@ models the infinite-BTB study of Figure 14.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
-
-from repro.cpu.component import SimComponent, check_state_fields
+from typing import List, Optional
 
 
-class BranchTargetBuffer(SimComponent):
+
+class BranchTargetBuffer:
     """LRU set-associative BTB; default geometry is 8K entries, 8-way."""
 
     def __init__(self, n_entries: Optional[int] = 8192, assoc: int = 8):
@@ -101,46 +100,6 @@ class BranchTargetBuffer(SimComponent):
     @property
     def miss_rate(self) -> float:
         return self.misses / self.lookups if self.lookups else 0.0
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        if self.infinite:
-            self._all.clear()
-        else:
-            for entries in self._sets:
-                entries.clear()
-        self.lookups = 0
-        self.misses = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        if self.infinite:
-            sets = [list(self._all.items())]
-        else:
-            # Per set: (pc, target) pairs in LRU order.
-            sets = [list(entries.items()) for entries in self._sets]
-        return {"sets": sets, "lookups": self.lookups, "misses": self.misses}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("sets", "lookups", "misses"))
-        sets = state["sets"]
-        if len(sets) != (1 if self.infinite else self.n_sets):
-            raise ValueError(
-                f"BTB snapshot has {len(sets)} sets, expected "
-                f"{1 if self.infinite else self.n_sets}"
-            )
-        if self.infinite:
-            self._all = dict(sets[0])
-        else:
-            for entries, saved in zip(self._sets, sets):
-                entries.clear()
-                entries.update(saved)
-        self.lookups = state["lookups"]
-        self.misses = state["misses"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"resident": float(len(self)), "miss_rate": self.miss_rate}
 
     def __repr__(self) -> str:
         size = "inf" if self.infinite else self.n_sets * self.assoc

@@ -24,10 +24,10 @@ SimStats branch counters the block bumps (:data:`BRANCH_COUNTERS`), and
 so what penalty it costs.
 
 Front ends with one BPU configuration (:attr:`FrontEndParams.bpu_key`)
-get the same pass over a trace, so it is kept in ``trace.bpu_passes``
-(the experiment runner also stores it on disk): the event bytes and the
-units' final stats, which :meth:`FDIPFrontEnd.stats_snapshot` reports
-whether the pass ran or was carried.
+get the same pass over a trace, so its event bytes are kept in
+``trace.bpu_passes`` (the experiment runner also stores them on disk).
+The units are locals of :meth:`FDIPFrontEnd._predict`: nothing reads
+them after the pass.
 :meth:`FDIPFrontEnd.advance` then only moves the runahead, stopping at
 the next penalty block, and issues prefetches.  The commit loop reads
 each block's penalty from :attr:`FDIPFrontEnd.pen`.  The branch
@@ -35,8 +35,9 @@ counters are charged, for the blocks the runahead has passed, by
 :meth:`FDIPFrontEnd.count_branches`, which the simulator calls where it
 flushes its other accumulators: at the end of every commit-loop range.
 
-The unit's tables are a function of the trace, so they are not part of
-the front end's snapshot; the runahead position is.
+What :meth:`FDIPFrontEnd.bind` derives from the trace stays out of a
+warmup checkpoint (:meth:`FDIPFrontEnd.__getstate__`); the runahead
+position is in it.
 
 Wrong-path fetch is not modelled (see DESIGN.md §5); the first-order
 FDIP behaviours — limited runahead under BTB pressure and flush-on-
@@ -48,9 +49,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.ittage import ITTagePredictor
 from repro.frontend.ras import ReturnAddressStack
@@ -112,7 +113,7 @@ class FrontEndParams:
         return (self.btb_entries, self.btb_assoc, self.ras_depth)
 
 
-class FDIPFrontEnd(SimComponent):
+class FDIPFrontEnd(Restorable):
     """Decoupled front-end model bound to one trace.
 
     ``pen`` holds every block's penalty kind (trace index → ``PEN_*``),
@@ -125,43 +126,35 @@ class FDIPFrontEnd(SimComponent):
     def __init__(self, params: FrontEndParams, stats):
         self.params = params
         self.stats = stats
-        # The branch-prediction unit.  bind() runs it over the whole
-        # trace from power-on state, so its tables are a function of the
-        # trace and stay out of snapshots.
-        # lint: ephemeral
-        self.btb = BranchTargetBuffer(params.btb_entries, params.btb_assoc)
-        self.tage = TagePredictor()  # lint: ephemeral
-        self.ittage = ITTagePredictor()  # lint: ephemeral
-        self.ras = ReturnAddressStack(params.ras_depth)  # lint: ephemeral
         self.hierarchy = None
         self._ptr = 0          # next trace index the runahead will visit
         self._blocked_at = -1  # runahead waits until commit reaches this
         self._counted = 0      # blocks below this are in the stats counters
         # What bind() derives from the trace: the prediction pass's
-        # per-block event bytes and the units' stats after it, the
-        # penalty kinds, the penalty blocks in order (then the trace
-        # length), the next of them at or after the runahead pointer,
-        # the bound decode tables and bind-time constants.  Rebuilt
-        # wholesale by bind(), so resume correctness never depends on
-        # snapshotting them.
-        self._ev = self.pen = b""  # lint: ephemeral
-        self._units = self._unit_stats()  # lint: ephemeral
-        self._stops: List[int] = []  # lint: ephemeral
-        self._stop = 0  # lint: ephemeral
-        self._b0 = self._b1 = self._page = None  # lint: ephemeral
-        self._n = 0  # lint: ephemeral
-        self._ftq = params.ftq_entries  # lint: ephemeral
-        self._issue = False  # lint: ephemeral
-        self._tlb_pf = None  # lint: ephemeral
+        # per-block event bytes, the penalty kinds, the penalty blocks
+        # in order (then the trace length), the next of them at or
+        # after the runahead pointer, the bound decode tables and
+        # bind-time constants.
+        self._ev = self.pen = b""
+        self._stops: List[int] = []
+        self._stop = 0
+        self._b0 = self._b1 = self._page = None
+        self._n = 0
+        self._ftq = params.ftq_entries
+        self._issue = False
+        self._tlb_pf = None
 
     def bind(self, trace, hierarchy, itlb=None,
              itlb_prefetch: bool = False) -> None:
-        """Attach the front end to a trace and the memory hierarchy, and
+        """Wire the front end to a trace and the memory hierarchy, and
         run the branch-prediction unit over the trace, unless the trace
         carries the pass (``trace.bpu_passes``) already.
 
-        With ``itlb_prefetch`` the runahead also probes the I-TLB for
-        each enqueued region's page (non-stalling install; see
+        Binding touches only what derives from the trace and the
+        wiring, never the runahead position, so a machine resumed from
+        a warmup checkpoint binds its new trace the same way.  With
+        ``itlb_prefetch`` the runahead also probes the I-TLB for each
+        enqueued region's page (non-stalling install; see
         :meth:`repro.memory.tlb.InstructionTLB.prefetch`).
         """
         self._b0 = trace.block0
@@ -173,41 +166,40 @@ class FDIPFrontEnd(SimComponent):
         self._issue = self.params.issue_prefetches and hierarchy is not None
         self._tlb_pf = (itlb.prefetch
                         if itlb_prefetch and itlb is not None else None)
-        self._ptr = 0
-        self._blocked_at = -1
-        self._counted = 0
         key = self.params.bpu_key
-        done = trace.bpu_passes.get(key)
-        if done is None:
-            done = trace.bpu_passes[key] = self._predict(trace)
-        self._ev, self._units = done
-        self.pen = self._ev.translate(_PENALTY_OF)
-        self._stops = [*compress(range(len(trace)), self.pen), len(trace)]
-        self._stop = self._stops[0]
+        ev = trace.bpu_passes.get(key)
+        if ev is None:
+            ev = trace.bpu_passes[key] = self._predict(trace)
+        self._ev = ev
+        self.pen = ev.translate(_PENALTY_OF)
+        stops = self._stops = [*compress(range(len(trace)), self.pen),
+                               len(trace)]
+        self._stop = stops[bisect_left(stops, self._ptr)]
 
-    def _unit_stats(self) -> Dict[str, float]:
-        return {f"{name}.{key}": value
-                for name, unit in (("btb", self.btb), ("tage", self.tage),
-                                   ("ittage", self.ittage), ("ras", self.ras))
-                for key, value in unit.stats_snapshot().items()}
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in ("_b0", "_b1", "_page", "_ev", "pen", "_stops"):
+            del state[name]
+        return state
 
-    def _predict(self, trace) -> Tuple[bytes, Dict[str, float]]:
-        """Run the branch-prediction unit over every block's terminator,
-        in trace order, from power-on state; return the event bytes and
-        the units' stats."""
-        for unit in (self.btb, self.tage, self.ittage, self.ras):
-            unit.reset()
+    def _predict(self, trace) -> bytes:
+        """Run a power-on branch-prediction unit over every block's
+        terminator, in trace order; return the event bytes."""
+        params = self.params
+        btb = BranchTargetBuffer(params.btb_entries, params.btb_assoc)
+        ras = ReturnAddressStack(params.ras_depth)
         kind_arr = trace.kind
         taken_arr = trace.taken
         term_arr = trace.term
         tgt_arr = trace.target
         is_cond = [k == _COND for k in kind_arr]
-        correct = self.tage.predict_all(list(compress(term_arr, is_cond)),
-                                        list(compress(taken_arr, is_cond)))
-        btb_probe = self.btb.probe
-        ras_push = self.ras.push
-        ras_pop = self.ras.pop
-        ittage = self.ittage.predict_and_update
+        correct = TagePredictor().predict_all(
+            list(compress(term_arr, is_cond)),
+            list(compress(taken_arr, is_cond)))
+        btb_probe = btb.probe
+        ras_push = ras.push
+        ras_pop = ras.pop
+        ittage = ITTagePredictor().predict_and_update
         ev = bytearray(len(trace))
         c = 0
         for i, kind, term, target, taken in zip(count(), kind_arr, term_arr,
@@ -241,7 +233,7 @@ class FDIPFrontEnd(SimComponent):
                 raise ValueError(
                     f"unknown branch kind {kind} at trace index {i}")
             ev[i] = e
-        return bytes(ev), self._unit_stats()
+        return bytes(ev)
 
     def penalty_at(self, i: int) -> int:
         """Penalty kind charged when block ``i`` commits (``PEN_NONE``
@@ -326,34 +318,3 @@ class FDIPFrontEnd(SimComponent):
         for name, total in zip(BRANCH_COUNTERS, totals):
             if total:
                 setattr(stats, name, getattr(stats, name) + total)
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("ptr", "blocked_at", "counted")
-
-    def reset(self) -> None:
-        for unit in (self.btb, self.tage, self.ittage, self.ras):
-            unit.reset()
-        self._units = self._unit_stats()
-        self._ptr = 0
-        self._blocked_at = -1
-        self._counted = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "ptr": self._ptr,
-            "blocked_at": self._blocked_at,
-            "counted": self._counted,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self._ptr = state["ptr"]
-        self._blocked_at = state["blocked_at"]
-        self._counted = state["counted"]
-        stops = self._stops
-        self._stop = stops[bisect_left(stops, self._ptr)] if stops else 0
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"runahead": float(self._ptr), **self._units}

@@ -9,9 +9,8 @@ here the same tagged-geometric structure predicts the targets of
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.cpu.component import SimComponent, check_state_fields
 
 DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
     (512, 4, 9),
@@ -20,7 +19,7 @@ DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
 )
 
 
-class ITTagePredictor(SimComponent):
+class ITTagePredictor:
     """Fused predict/update indirect target predictor."""
 
     def __init__(
@@ -114,52 +113,6 @@ class ITTagePredictor(SimComponent):
         if not self.predictions:
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("base_target", "tag", "target", "conf", "phist",
-                     "predictions", "mispredictions")
-
-    def reset(self) -> None:
-        for i in range(len(self.base_target)):
-            self.base_target[i] = 0
-        for t, (size, _, _) in enumerate(self.tables):
-            self.tag[t] = [-1] * size
-            self.target[t] = [0] * size
-            self.conf[t] = [0] * size
-        self.phist = 0
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "base_target": list(self.base_target),
-            "tag": [list(t) for t in self.tag],
-            "target": [list(t) for t in self.target],
-            "conf": [list(t) for t in self.conf],
-            "phist": self.phist,
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        if len(state["base_target"]) != len(self.base_target):
-            raise ValueError("ITTAGE snapshot base size mismatch")
-        if [len(t) for t in state["tag"]] != [s for s, _, _ in self.tables]:
-            raise ValueError("ITTAGE snapshot table geometry mismatch")
-        self.base_target = list(state["base_target"])
-        self.tag = [list(t) for t in state["tag"]]
-        self.target = [list(t) for t in state["target"]]
-        self.conf = [list(t) for t in state["conf"]]
-        self.phist = state["phist"]
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"accuracy": self.accuracy,
-                "predictions": float(self.predictions)}
 
     def __repr__(self) -> str:
         return (

@@ -8,12 +8,11 @@ top-of-stack window feeds EFetch's call-context signature (§2.3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.cpu.component import SimComponent, check_state_fields
+from typing import List, Optional, Tuple
 
 
-class ReturnAddressStack(SimComponent):
+
+class ReturnAddressStack:
     """Circular return-address stack (default depth 32)."""
 
     def __init__(self, depth: int = 32):
@@ -65,41 +64,6 @@ class ReturnAddressStack(SimComponent):
     def clear(self) -> None:
         self._top = -1
         self._count = 0
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self._buf = [0] * self.depth
-        self._top = -1
-        self._count = 0
-        self.overflows = 0
-        self.underflows = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "buf": list(self._buf),
-            "top": self._top,
-            "count": self._count,
-            "overflows": self.overflows,
-            "underflows": self.underflows,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(
-            self, state, ("buf", "top", "count", "overflows", "underflows")
-        )
-        if len(state["buf"]) != self.depth:
-            raise ValueError("RAS snapshot depth mismatch")
-        self._buf = list(state["buf"])
-        self._top = state["top"]
-        self._count = state["count"]
-        self.overflows = state["overflows"]
-        self.underflows = state["underflows"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"live": float(self._count),
-                "underflows": float(self.underflows)}
 
     def __repr__(self) -> str:
         return f"ReturnAddressStack(depth={self.depth}, live={self._count})"

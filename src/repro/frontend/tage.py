@@ -31,7 +31,6 @@ import sys
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from repro.cpu.component import SimComponent, check_state_fields
 
 # (table size, history length, tag bits) per tagged table.
 DEFAULT_TABLES: Tuple[Tuple[int, int, int], ...] = (
@@ -98,7 +97,7 @@ class _Xorshift:
         return x
 
 
-class TagePredictor(SimComponent):
+class TagePredictor:
     """Fused predict/update TAGE with a 2-bit bimodal base."""
 
     def __init__(
@@ -379,54 +378,6 @@ class TagePredictor(SimComponent):
         if not self.predictions:
             return 0.0
         return 1.0 - self.mispredictions / self.predictions
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("bimodal", "ctr", "tag", "useful", "ghr", "rng",
-                     "predictions", "mispredictions")
-
-    def reset(self) -> None:
-        self.bimodal = [1] * len(self.bimodal)
-        for t, (size, _, _) in enumerate(self.tables):
-            self.ctr[t] = [0] * size
-            self.tag[t] = [-1] * size
-            self.useful[t] = [0] * size
-        self.ghr = 0
-        self._rng = _Xorshift()
-        self.predictions = 0
-        self.mispredictions = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "bimodal": list(self.bimodal),
-            "ctr": [list(t) for t in self.ctr],
-            "tag": [list(t) for t in self.tag],
-            "useful": [list(t) for t in self.useful],
-            "ghr": self.ghr,
-            "rng": self._rng.state,
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        if len(state["bimodal"]) != len(self.bimodal):
-            raise ValueError("TAGE snapshot bimodal size mismatch")
-        if [len(t) for t in state["ctr"]] != [s for s, _, _ in self.tables]:
-            raise ValueError("TAGE snapshot table geometry mismatch")
-        self.bimodal = list(state["bimodal"])
-        self.ctr = [list(t) for t in state["ctr"]]
-        self.tag = [list(t) for t in state["tag"]]
-        self.useful = [list(t) for t in state["useful"]]
-        self.ghr = state["ghr"]
-        self._rng.state = state["rng"]
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"accuracy": self.accuracy,
-                "predictions": float(self.predictions)}
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,8 @@
 """Project-specific static analysis (``repro lint``).
 
-Four AST-based rules guard the simulator's invariants that the dynamic
+Three AST-based rules guard the simulator's invariants that the dynamic
 test suite can only spot-check:
 
-* ``snapshot-coverage`` — every mutable attribute of a ``SimComponent``
-  subclass must be captured by ``state_dict``/``load_state_dict`` and
-  restored by ``reset`` (waive derived state with ``# lint: ephemeral``);
 * ``determinism`` — no wall-clock, unseeded RNG, environment reads, or
   hash/set-order hazards in the simulator packages;
 * ``hot-loop`` — inside ``# lint: hot-begin``/``hot-end`` fences, no

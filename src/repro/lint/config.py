@@ -27,12 +27,6 @@ ENV_OK_PATHS = (
     "src/repro/experiments",
 )
 
-#: Attributes that are machine wiring, never serialized state (see
-#: docs/ARCHITECTURE.md §1 "Wiring is not state").
-WIRING_ATTRS = (
-    "sim", "trace", "hierarchy", "stats", "params", "config",
-)
-
 #: Files required to contain at least one hot-begin/hot-end fence —
 #: deleting a fence (and with it the hygiene checks) is itself an error.
 FENCED_PATHS = (
@@ -58,7 +52,6 @@ class LintConfig:
     paths: Tuple[str, ...] = ("src/repro",)
     determinism_paths: Tuple[str, ...] = DETERMINISM_PATHS
     env_ok_paths: Tuple[str, ...] = ENV_OK_PATHS
-    wiring_attrs: Tuple[str, ...] = WIRING_ATTRS
     fenced_paths: Tuple[str, ...] = FENCED_PATHS
     ordered_paths: Tuple[str, ...] = ORDERED_PATHS
 

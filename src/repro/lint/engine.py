@@ -2,8 +2,7 @@
 
 Each file is parsed once, and every enabled rule analyzes that tree
 into a per-file payload.  At report time each rule turns the payloads
-of the whole run into :class:`~repro.lint.findings.Finding` records
-(``snapshot-coverage`` resolves class hierarchies across files there),
+of the whole run into :class:`~repro.lint.findings.Finding` records,
 and ``# lint: allow[rule]`` waivers apply.  Nothing is cached: a full
 scan of ``src/repro`` takes about a second.
 """

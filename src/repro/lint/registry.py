@@ -13,14 +13,12 @@ from repro.lint.rules import (
     CrashOrderingRule,
     DeterminismRule,
     HotLoopRule,
-    SnapshotCoverageRule,
 )
 from repro.lint.rules.base import Rule
 
 RULES: Dict[str, Rule] = {
     rule.name: rule
     for rule in (
-        SnapshotCoverageRule(),
         DeterminismRule(),
         HotLoopRule(),
         CrashOrderingRule(),

@@ -20,8 +20,6 @@ _DIRECTIVE_RE = re.compile(r"^#\s*lint:\s*([a-z-]+)(?:\[([^\]]*)\])?")
 class Directives:
     """Lint directives scanned from one file's comments."""
 
-    #: Lines bearing ``# lint: ephemeral`` (snapshot-coverage waiver).
-    ephemeral: Set[int] = field(default_factory=set)
     #: Line -> rule names from ``# lint: allow[rule, ...]``.
     allows: Dict[int, Set[str]] = field(default_factory=dict)
     #: ``# lint: hot-begin`` .. ``# lint: hot-end`` line ranges.
@@ -31,9 +29,6 @@ class Directives:
     ordered: List[Tuple[int, int, str]] = field(default_factory=list)
     #: Malformed directive messages, reported as findings.
     problems: List[Tuple[int, str]] = field(default_factory=list)
-
-    def in_fence(self, line: int) -> bool:
-        return any(lo <= line <= hi for lo, hi in self.fences)
 
 
 def _comment_tokens(source: str) -> List[Tuple[int, str]]:
@@ -55,9 +50,7 @@ def scan_directives(source: str) -> Directives:
         if not m:
             continue
         kind, payload = m.group(1), m.group(2)
-        if kind == "ephemeral":
-            out.ephemeral.add(lineno)
-        elif kind == "allow":
+        if kind == "allow":
             if not payload:
                 out.problems.append(
                     (lineno, "allow waiver needs rule names: "
@@ -107,16 +100,6 @@ class FileContext:
     tree: ast.Module
     directives: Directives
     config: LintConfig
-
-    def waived_ephemeral(self, node: ast.AST) -> bool:
-        """Is ``node``'s statement covered by ``# lint: ephemeral``?
-
-        The marker sits either on the statement's first line or on the
-        line directly above it.
-        """
-        line = getattr(node, "lineno", 0)
-        eph = self.directives.ephemeral
-        return line in eph or (line - 1) in eph
 
 
 class Rule:
@@ -174,9 +157,3 @@ def self_attr_chain(node: ast.AST) -> Optional[List[str]]:
             return list(reversed(parts)) if node.id == "self" else None
         else:
             return None
-
-
-def self_attr_root(node: ast.AST) -> Optional[str]:
-    """Root attribute of a ``self.``-rooted chain, else None."""
-    chain = self_attr_chain(node)
-    return chain[0] if chain else None

@@ -16,9 +16,9 @@ policy-independent by design — every policy promotes a hit to MRU — so
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 
 #: Fill origins.
 ORIGIN_DEMAND = 0
@@ -33,7 +33,7 @@ E_ISSUE = 2
 E_DIRTY = 3
 
 
-class SetAssocCache(SimComponent):
+class SetAssocCache(Restorable):
     """Set-associative cache over abstract block indices.
 
     ``policy`` is a :class:`~repro.memory.policies.ReplacementPolicy`
@@ -113,41 +113,6 @@ class SetAssocCache(SimComponent):
     def clear(self) -> None:
         for entries in self._sets:
             entries.clear()
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.clear()
-        self.policy.reset()
-
-    def state_dict(self) -> Dict[str, object]:
-        # Per set: (block, entry) pairs in recency order (least recent
-        # first), which is exactly the OrderedDict iteration order.
-        return {
-            "sets": [
-                [(block, list(entry)) for block, entry in entries.items()]
-                for entries in self._sets
-            ],
-            "policy": self.policy.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("sets", "policy"))
-        self.policy.load_state_dict(state["policy"])
-        sets = state["sets"]
-        if len(sets) != self.n_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"cache has {self.n_sets}"
-            )
-        for entries, saved in zip(self._sets, sets):
-            entries.clear()
-            for block, entry in saved:
-                entries[block] = list(entry)
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"occupancy": len(self) / self.capacity_blocks}
 
     def resident_blocks(self) -> List[int]:
         """All resident block indices (test/analysis helper)."""

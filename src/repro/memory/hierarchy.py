@@ -15,9 +15,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 from repro.cpu.stats import LEVEL_DRAM, LEVEL_L2, LEVEL_LLC, SimStats
 from repro.memory.cache import (
     E_DIRTY,
@@ -63,7 +63,7 @@ class HierarchyParams:
     policy: str = "lru"
 
 
-class MemoryHierarchy(SimComponent):
+class MemoryHierarchy(Restorable):
     """Instruction-side memory hierarchy with asynchronous prefetch fills."""
 
     def __init__(self, params: HierarchyParams, stats: SimStats):
@@ -329,73 +329,6 @@ class MemoryHierarchy(SimComponent):
     def pending_count(self) -> int:
         return len(self._pending)
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.l1i.reset()
-        self.l2.reset()
-        self.llc.reset()
-        self._inflight.clear()
-        self._heap.clear()
-        self._pending.clear()
-        self._fill_seq = 0
-        self.access_clock = 0
-        if self.l2_miss_map is not None:
-            self.l2_miss_map.clear()
-
-    _STATE_FIELDS = ("l1i", "l2", "llc", "inflight", "heap", "pending",
-                     "fill_seq", "access_clock", "l2_miss_map")
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "l1i": self.l1i.state_dict(),
-            "l2": self.l2.state_dict(),
-            "llc": self.llc.state_dict(),
-            "inflight": {b: list(f) for b, f in self._inflight.items()},
-            "heap": [tuple(item) for item in self._heap],
-            "pending": [tuple(item) for item in self._pending],
-            "fill_seq": self._fill_seq,
-            "access_clock": self.access_clock,
-            "l2_miss_map": (dict(self.l2_miss_map)
-                            if self.l2_miss_map is not None else None),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self.l1i.load_state_dict(state["l1i"])
-        self.l2.load_state_dict(state["l2"])
-        self.llc.load_state_dict(state["llc"])
-        self._inflight = {b: list(f) for b, f in state["inflight"].items()}
-        heap = [tuple(item) for item in state["heap"]]
-        heapq.heapify(heap)  # snapshots preserve heap order; be safe
-        self._heap = heap
-        self._pending = deque(tuple(item) for item in state["pending"])
-        self._fill_seq = state["fill_seq"]
-        self.access_clock = state["access_clock"]
-        # Whether block misses are tracked is decided at construction
-        # (the run's ``track_block_misses`` flag), not by the snapshot:
-        # warmup checkpoints are taken at the measurement boundary,
-        # where the map is cleared anyway, so a checkpoint recorded
-        # without tracking resumes a tracking run exactly.
-        if self.l2_miss_map is not None:
-            self.l2_miss_map.clear()
-            if state["l2_miss_map"]:
-                self.l2_miss_map.update(state["l2_miss_map"])
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        out = {}
-        for name, cache in (("l1i", self.l1i), ("l2", self.l2),
-                            ("llc", self.llc)):
-            for key, value in cache.stats_snapshot().items():
-                out[f"{name}.{key}"] = value
-        out["inflight"] = float(len(self._inflight))
-        out["pending"] = float(len(self._pending))
-        return out
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _drain(self, now: float) -> None:
         """Complete the fills due by ``now`` into their target cache,
         then refill the MSHRs from the pending queue."""

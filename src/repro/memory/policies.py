@@ -2,7 +2,7 @@
 
 Eviction/insertion used to be hardwired LRU inside
 :class:`~repro.memory.cache.SetAssocCache`; this module makes the
-decision a first-class :class:`~repro.cpu.component.SimComponent` so
+decision a pluggable object of its own so
 the substrate under a prefetcher becomes a swept dimension (Jamet et
 al., arXiv 2605.12433: prefetched-line-aware cache/TLB management is a
 multiplier on *any* instruction prefetcher).
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, Type
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 from repro.memory.cache import E_ORIGIN, E_USED, ORIGIN_DEMAND
 
 #: Deterministic MRU-insertion period of the bimodal policy (BIP's
@@ -37,13 +37,11 @@ from repro.memory.cache import E_ORIGIN, E_USED, ORIGIN_DEMAND
 BIP_MRU_PERIOD = 32
 
 
-class ReplacementPolicy(SimComponent):
+class ReplacementPolicy(Restorable):
     """Insertion/eviction strategy for one cache (or the I-TLB).
 
-    Stateless policies share the base no-op snapshot protocol; stateful
-    ones (BIP's insertion counter) override it.  One instance belongs
-    to exactly one cache — per-cache state must not alias across
-    levels.
+    One instance belongs to exactly one cache: per-cache state (BIP's
+    insertion counter) must not alias across levels.
     """
 
     name = "base"
@@ -59,21 +57,6 @@ class ReplacementPolicy(SimComponent):
         resident.  Returns the evicted ``(block, entry)`` pair or None.
         """
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol (stateless default)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        pass
-
-    def state_dict(self) -> Dict[str, object]:
-        return {}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ())
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -150,16 +133,6 @@ class BIPPolicy(ReplacementPolicy):
         self._fills = fills
         return evicted
         # lint: hot-end
-
-    def reset(self) -> None:
-        self._fills = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"fills": self._fills}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("fills",))
-        self._fills = state["fills"]
 
 
 class PrefetchAwarePolicy(ReplacementPolicy):

@@ -20,16 +20,15 @@ first while unused.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
 
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 from repro.memory.cache import E_USED, ORIGIN_DEMAND, ORIGIN_PF
 
 #: Page-walk latency in cycles charged on a TLB miss.
 DEFAULT_WALK_LATENCY = 40
 
 
-class InstructionTLB(SimComponent):
+class InstructionTLB(Restorable):
     """Fully associative I-TLB over page indices.
 
     ``policy`` is a :class:`~repro.memory.policies.ReplacementPolicy`
@@ -94,50 +93,6 @@ class InstructionTLB(SimComponent):
             entries, page, [origin, False], self.n_entries
         )
         return self.walk_latency
-
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    _STATE_FIELDS = ("pages", "accesses", "misses", "pf_probes",
-                     "pf_installs", "pf_hits", "policy")
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self.policy.reset()
-        self.accesses = 0
-        self.misses = 0
-        self.pf_probes = 0
-        self.pf_installs = 0
-        self.pf_hits = 0
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            # Recency order, least recent first, with per-entry
-            # [origin, used] metadata.
-            "pages": [(page, list(entry))
-                      for page, entry in self._entries.items()],
-            "accesses": self.accesses,
-            "misses": self.misses,
-            "pf_probes": self.pf_probes,
-            "pf_installs": self.pf_installs,
-            "pf_hits": self.pf_hits,
-            "policy": self.policy.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, self._STATE_FIELDS)
-        self.policy.load_state_dict(state["policy"])
-        self._entries.clear()
-        for page, entry in state["pages"]:
-            self._entries[page] = list(entry)
-        self.accesses = state["accesses"]
-        self.misses = state["misses"]
-        self.pf_probes = state["pf_probes"]
-        self.pf_installs = state["pf_installs"]
-        self.pf_hits = state["pf_hits"]
-
-    def stats_snapshot(self) -> Dict[str, float]:
-        return {"resident": float(len(self)), "miss_rate": self.miss_rate}
 
     def __contains__(self, page: int) -> bool:
         return page in self._entries

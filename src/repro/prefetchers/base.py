@@ -9,34 +9,17 @@ attributes them correctly.
 
 from __future__ import annotations
 
-import copy
-from typing import Dict
-
-from repro.cpu.component import SimComponent, check_state_fields
+from repro.cpu.restore import Restorable
 from repro.memory.cache import ORIGIN_PF
 
-#: Attributes that are wiring (references into the machine), not
-#: prefetcher-owned mutable state; excluded from the default snapshot.
-#: ``_itlb_pf`` is a bound method of the machine's I-TLB — snapshotting
-#: it would deep-copy the whole TLB through the closure — and
-#: ``_block0``/``_block1`` are the trace's decode tables.
-_WIRING = frozenset({"sim", "trace", "hierarchy", "stats", "_itlb_pf",
-                     "_block0", "_block1"})
 
-
-class InstructionPrefetcher(SimComponent):
+class InstructionPrefetcher(Restorable):
     """Base class; subclasses override the ``on_*`` hooks they need.
 
-    The default :meth:`state_dict`/:meth:`load_state_dict` deep-copy the
-    instance ``__dict__`` minus the wiring references (``sim``,
-    ``trace``, ``hierarchy``, ``stats`` and the bound tables of
-    ``_WIRING``).  One ``deepcopy`` of the whole
-    attribute dict (rather than per-field serialization) preserves any
-    intra-state aliasing — e.g. EFetch's in-flight observation lists
-    alias its table entries — so restored behavior is bit-identical.
-    Prefetchers whose state holds callbacks or cross-component
-    references (HierarchicalPrefetcher) override with structured
-    implementations.
+    A warmup checkpoint pickles the prefetcher with the rest of the
+    machine.  :meth:`__getstate__` leaves out what belongs to the trace
+    (``trace`` and its ``_block0``/``_block1`` tables); :meth:`bind`
+    binds them again on resume.
     """
 
     name = "base"
@@ -46,45 +29,37 @@ class InstructionPrefetcher(SimComponent):
         self.trace = None
         self.hierarchy = None
         self.stats = None
-        self._itlb_pf = None  # lint: ephemeral
-        self._block0 = self._block1 = None  # lint: ephemeral
+        self._itlb_pf = None
+        self._block0 = self._block1 = None
 
     def attach(self, sim, trace) -> None:
-        """Bind to a simulator and trace before the run starts."""
+        """Bind to a simulator and trace before the run starts, and
+        :meth:`reset` to the power-on state."""
+        self.bind(sim, trace)
+        self.reset()
+
+    def bind(self, sim, trace) -> None:
+        """Wire the prefetcher to the machine and the trace's tables
+        (the half of :meth:`attach` that a resumed machine repeats)."""
         self.sim = sim
         self.trace = trace
         self.hierarchy = sim.hierarchy
         self.stats = sim.stats
-        self._itlb_pf = (  # lint: ephemeral
+        self._itlb_pf = (
             sim.itlb.prefetch if sim.config.core.itlb_prefetch else None
         )
         # Each block's first and last cache line (``Trace.block0`` and
         # ``block1``), bound once for the per-commit hooks.
-        self._block0 = trace.block0  # lint: ephemeral
-        self._block1 = trace.block1  # lint: ephemeral
-        self.reset()
+        self._block0 = trace.block0
+        self._block1 = trace.block1
 
     def reset(self) -> None:
         """Clear run-local state (called from :meth:`attach`)."""
 
-    # ------------------------------------------------------------------
-    # SimComponent protocol
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        own = {k: v for k, v in self.__dict__.items() if k not in _WIRING}
-        return {"attrs": copy.deepcopy(own)}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        check_state_fields(self, state, ("attrs",))
-        attrs = state["attrs"]
-        expected = set(self.__dict__) - _WIRING
-        if set(attrs) != expected:
-            raise ValueError(
-                f"stale {type(self).__name__} state "
-                f"(missing={sorted(expected - set(attrs))}, "
-                f"unknown={sorted(set(attrs) - expected)})"
-            )
-        self.__dict__.update(copy.deepcopy(attrs))
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["trace"], state["_block0"], state["_block1"]
+        return state
 
     # ------------------------------------------------------------------
     # Hooks called by the simulator

@@ -90,9 +90,9 @@ class Trace:
         self._block1: Optional[List[int]] = None
         self._page: Optional[List[int]] = None
         self._term: Optional[List[int]] = None
-        #: (btb_entries, btb_assoc, ras_depth) -> (event bytes, unit
-        #: stats) of the prediction pass over this trace.
-        self.bpu_passes: Dict[tuple, Tuple[bytes, dict]] = {}
+        #: (btb_entries, btb_assoc, ras_depth) -> event bytes of the
+        #: prediction pass over this trace.
+        self.bpu_passes: Dict[tuple, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.pc)

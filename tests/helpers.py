@@ -4,7 +4,8 @@ unit tests."""
 from __future__ import annotations
 
 import heapq
-from types import SimpleNamespace
+from collections import deque
+from types import BuiltinMethodType, MethodType, SimpleNamespace
 from typing import List, Optional, Tuple
 
 from repro.cpu.simulator import FrontEndSimulator
@@ -27,6 +28,30 @@ from repro.memory.hierarchy import F_READY, MemoryHierarchy
 from repro.workloads.trace import Trace
 
 _FALLTHROUGH_KINDS = (BranchKind.NONE, BranchKind.COND)
+
+
+def state_of(obj):
+    """The state an object holds, as plain data: objects become their
+    attribute dicts, recursively, and bound methods their names.  A
+    model and its reference subclass holding the same state compare
+    equal."""
+    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
+        return obj
+    if isinstance(obj, (MethodType, BuiltinMethodType)):
+        return ("method", obj.__name__)
+    if isinstance(obj, dict):
+        return [(key, state_of(value)) for key, value in obj.items()]
+    if isinstance(obj, (list, tuple, deque)):
+        return [state_of(value) for value in obj]
+    attrs = getattr(obj, "__dict__", None)
+    if attrs is None:
+        attrs = {name: getattr(obj, name) for name in obj.__slots__}
+    return {name: state_of(value) for name, value in attrs.items()}
+
+
+def same_state(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same state (:func:`state_of`)."""
+    return state_of(a) == state_of(b)
 
 
 class TraceAssembler:

@@ -17,7 +17,7 @@ from repro.frontend import tage as tage_module
 from repro.frontend.fdip import BRANCH_COUNTERS, FDIPFrontEnd, FrontEndParams
 from repro.frontend.tage import TagePredictor
 from repro.isa.instructions import BranchKind
-from tests.helpers import ReferenceFrontEnd, TraceAssembler
+from tests.helpers import ReferenceFrontEnd, TraceAssembler, same_state
 
 #: A geometry with a history shorter than its index width, one longer
 #: than the 64-bit GHR, and 16-bit tags (a full lane).
@@ -52,7 +52,7 @@ def _check_predict_all(make, warm, stream):
     got = fast.predict_all([pc for pc, _ in stream],
                            [taken for _, taken in stream])
     assert list(got) == expected
-    assert fast.state_dict() == ref.state_dict()
+    assert same_state(fast, ref)
 
 
 @settings(max_examples=60, deadline=None)

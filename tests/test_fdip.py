@@ -156,8 +156,9 @@ class TestBranchHandling:
 
     def test_infinite_btb_param(self):
         trace = linear_trace(8)
-        fdip, hier, stats = make_fdip(trace, btb_entries=None)
-        assert fdip.btb.infinite
+        make_fdip(trace, btb_entries=None)
+        assert list(trace.bpu_passes) == [
+            FrontEndParams(btb_entries=None).bpu_key]
 
 
 class TestCarriedPass:
@@ -171,16 +172,9 @@ class TestCarriedPass:
         with mock.patch.object(FDIPFrontEnd, "_predict",
                                side_effect=AssertionError("pass re-run")):
             carried, _, _ = make_fdip(trace)
-        assert ran.tage.predictions > 0
-        assert carried.tage.predictions == 0  # the units never ran
+        assert carried._ev is ran._ev
         assert carried.pen == ran.pen
         assert carried._stops == ran._stops
-        # The snapshot reports the units as the pass left them, on
-        # both paths.
-        snap = ran.stats_snapshot()
-        assert snap["tage.predictions"] > 0
-        assert snap["ras.live"] + snap["btb.resident"] > 0
-        assert carried.stats_snapshot() == snap
 
     @pytest.mark.parametrize("params", [{"btb_entries": None},
                                         {"btb_assoc": 4},
@@ -195,12 +189,6 @@ class TestCarriedPass:
         assert len(trace.bpu_passes) == 1
         make_fdip(trace, **params)
         assert len(trace.bpu_passes) == 2
-
-    def test_reset_reports_power_on_units(self, micro_trace):
-        fdip, _, _ = make_fdip(micro_trace)
-        fdip.reset()
-        fresh = FDIPFrontEnd(FrontEndParams(), SimStats())
-        assert fdip.stats_snapshot() == fresh.stats_snapshot()
 
 
 class TestPrefetchCalls:

@@ -41,269 +41,6 @@ def rules_hit(report):
 
 
 # ======================================================================
-# snapshot-coverage
-# ======================================================================
-class TestSnapshotCoverage:
-    def test_uncovered_mutable_attr_is_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            from repro.cpu.component import SimComponent
-
-            class Counter(SimComponent):
-                def __init__(self):
-                    self.count = 0
-                def bump(self):
-                    self.count += 1
-                def reset(self):
-                    self.count = 0
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
-            """})
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert f.severity == ERROR
-        assert "Counter.count" in f.message
-        assert "state_dict, load_state_dict" in f.message
-        assert "reset" not in f.message.split("covered by")[1]
-
-    def test_missing_reset_coverage_is_flagged(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Gauge(SimComponent):
-                def __init__(self):
-                    self.value = 0
-                def poke(self):
-                    self.value += 1
-                def reset(self):
-                    pass
-                def state_dict(self):
-                    return {"value": self.value}
-                def load_state_dict(self, state):
-                    self.value = state["value"]
-            """})
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        assert "covered by reset" in report.findings[0].message
-
-    def test_covered_component_is_clean(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Gauge(SimComponent):
-                _STATE_FIELDS = ("value", "_ticks")
-
-                def __init__(self):
-                    self.value = 0
-                    self._ticks = 0
-                def poke(self):
-                    self.value += 1
-                    self._ticks += 1
-                def reset(self):
-                    self.value = 0
-                    self._ticks = 0
-                def state_dict(self):
-                    return {f: getattr(self, f) for f in self._STATE_FIELDS}
-                def load_state_dict(self, state):
-                    for f in self._STATE_FIELDS:
-                        setattr(self, f, state[f])
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_string_field_names_count_as_coverage(self, tmp_path):
-        # The _STATE_FIELDS idiom: "ptr" covers self._ptr.
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Walker(SimComponent):
-                def __init__(self):
-                    self._ptr = 0
-                def advance(self):
-                    self._ptr += 1
-                def reset(self):
-                    self._ptr = 0
-                def state_dict(self):
-                    return {"ptr": self._ptr}
-                def load_state_dict(self, state):
-                    self._ptr = state["ptr"]
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_init_only_attrs_are_configuration(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Sized(SimComponent):
-                def __init__(self, n):
-                    self.capacity = n  # never reassigned: config
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
-                def reset(self):
-                    pass
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_ephemeral_waiver_suppresses(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Cached(SimComponent):
-                def __init__(self):
-                    self._derived = None  # lint: ephemeral
-                def warm(self):
-                    self._derived = 1
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
-                def reset(self):
-                    pass
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_mutating_method_calls_count_as_mutation(self, tmp_path):
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Bag(SimComponent):
-                def __init__(self):
-                    self.items = []
-                def put(self, x):
-                    self.items.append(x)
-                def state_dict(self):
-                    return {}
-                def load_state_dict(self, state):
-                    pass
-                def reset(self):
-                    self.items.clear()
-            """})
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        assert "Bag.items" in report.findings[0].message
-
-    def test_transitive_helper_coverage(self, tmp_path):
-        # reset() delegating to clear() still covers the attribute.
-        project(tmp_path, {"src/repro/comp.py": """\
-            class Buffer(SimComponent):
-                def __init__(self):
-                    self.entries = []
-                def put(self, x):
-                    self.entries.append(x)
-                def clear(self):
-                    self.entries = []
-                def reset(self):
-                    self.clear()
-                def state_dict(self):
-                    return {"entries": list(self.entries)}
-                def load_state_dict(self, state):
-                    self.entries = list(state["entries"])
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-    def test_cross_file_inherited_protocol(self, tmp_path):
-        # Child inherits Base's vars(self)-based snapshot: covered.
-        # Orphan inherits a snapshot that names only Base's fields: not.
-        files = {
-            "src/repro/base.py": """\
-                class DynamicBase(SimComponent):
-                    def state_dict(self):
-                        return dict(vars(self))
-                    def load_state_dict(self, state):
-                        self.__dict__.update(state)
-                    def reset(self):
-                        for key in vars(self):
-                            setattr(self, key, 0)
-
-                class NarrowBase(SimComponent):
-                    def __init__(self):
-                        self.x = 0
-                    def tick(self):
-                        self.x += 1
-                    def state_dict(self):
-                        return {"x": self.x}
-                    def load_state_dict(self, state):
-                        self.x = state["x"]
-                    def reset(self):
-                        self.x = 0
-                """,
-            "src/repro/child.py": """\
-                from repro.base import DynamicBase, NarrowBase
-
-                class Child(DynamicBase):
-                    def __init__(self):
-                        self.score = 0
-                    def bump(self):
-                        self.score += 1
-
-                class Orphan(NarrowBase):
-                    def __init__(self):
-                        super().__init__()
-                        self.extra = 0
-                    def bump(self):
-                        self.extra += 1
-                """,
-        }
-        project(tmp_path, files)
-        report = lint(tmp_path, rules=["snapshot-coverage"])
-        assert len(report.findings) == 1
-        f = report.findings[0]
-        assert "Orphan.extra" in f.message
-        assert f.path == "src/repro/child.py"
-
-    def test_cross_file_base_edit_reanalyzes(self, tmp_path):
-        """Editing only base.py changes the verdict on child.py: the
-        hierarchy is resolved from every file on every run."""
-        narrow_base = textwrap.dedent("""\
-            class NarrowBase(SimComponent):
-                def __init__(self):
-                    self.x = 0
-                def tick(self):
-                    self.x += 1
-                def state_dict(self):
-                    return {"x": self.x}
-                def load_state_dict(self, state):
-                    self.x = state["x"]
-                def reset(self):
-                    self.x = 0
-            """)
-        wide_base = textwrap.dedent("""\
-            class NarrowBase(SimComponent):
-                def __init__(self):
-                    self.x = 0
-                def tick(self):
-                    self.x += 1
-                def state_dict(self):
-                    return dict(vars(self))
-                def load_state_dict(self, state):
-                    self.__dict__.update(state)
-                def reset(self):
-                    for key in vars(self):
-                        setattr(self, key, 0)
-            """)
-        child = """\
-            from repro.base import NarrowBase
-
-            class Orphan(NarrowBase):
-                def __init__(self):
-                    super().__init__()
-                    self.extra = 0
-                def bump(self):
-                    self.extra += 1
-            """
-        project(tmp_path, {"src/repro/base.py": narrow_base,
-                           "src/repro/child.py": child})
-        first = lint(tmp_path)
-        assert [f.path for f in first.findings] == ["src/repro/child.py"]
-        assert "Orphan.extra" in first.findings[0].message
-
-        # Widen only the base snapshot; child.py's bytes are untouched.
-        (tmp_path / "src/repro/base.py").write_text(wide_base)
-        assert lint(tmp_path).findings == []
-
-    def test_non_components_are_ignored(self, tmp_path):
-        project(tmp_path, {"src/repro/plain.py": """\
-            class Helper:
-                def __init__(self):
-                    self.n = 0
-                def bump(self):
-                    self.n += 1
-            """})
-        assert lint(tmp_path, rules=["snapshot-coverage"]).findings == []
-
-
-# ======================================================================
 # determinism
 # ======================================================================
 class TestDeterminism:
@@ -709,10 +446,7 @@ class TestRealTree:
         assert report.files_scanned > 50
 
     def test_every_rule_registered(self):
-        assert rule_names() == [
-            "crash-ordering", "determinism", "hot-loop",
-            "snapshot-coverage",
-        ]
+        assert rule_names() == ["crash-ordering", "determinism", "hot-loop"]
 
     def test_determinism_scope_matches_code_packages(self):
         """determinism covers exactly the packages the result cache

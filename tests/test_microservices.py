@@ -305,8 +305,8 @@ class TestSnapshotRoundTrip:
         expected = machine().run(msvc_trace)
         donor = machine()
         donor.warmup(msvc_trace)
-        snapshot = donor.state_dict()
-        resumed = machine().resume(msvc_trace, snapshot)
+        resumed = FrontEndSimulator.resume(msvc_trace, donor.state_dict(),
+                                           micro_machine())
         got = resumed.measure()
         assert got == expected
         assert got.state_dict() == expected.state_dict()

@@ -1,6 +1,8 @@
-"""Replacement policies: unit behavior, snapshot round trips, the
+"""Replacement policies: unit behavior, checkpoint round trips, the
 I-TLB prefetch path, and the policy × prefetcher surface (experiments
 family + CLI flags)."""
+
+import pickle
 
 import pytest
 
@@ -22,6 +24,8 @@ from repro.memory.policies import (
     make_policy,
 )
 from repro.memory.tlb import InstructionTLB
+
+from tests.helpers import same_state
 
 
 def _one_set_cache(assoc=4, policy="lru"):
@@ -113,13 +117,16 @@ class TestBIP:
         assert _order(cache)[-1] == 1
 
     def test_counter_snapshots(self):
-        policy = BIPPolicy()
-        policy._fills = 7
-        clone = BIPPolicy()
-        clone.load_state_dict(policy.state_dict())
-        assert clone._fills == 7
-        clone.reset()
-        assert clone._fills == 0
+        """The insertion counter travels with a checkpoint: a cache
+        restored from its pickle places the next fills alike."""
+        cache = _one_set_cache(policy="bip")
+        cache.policy._fills = BIP_MRU_PERIOD - 2
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.policy._fills == BIP_MRU_PERIOD - 2
+        for block in range(3):
+            cache.insert(block)
+            clone.insert(block)
+        assert _order(clone) == _order(cache)
 
 
 class TestPrefetchAware:
@@ -182,13 +189,12 @@ def test_cache_roundtrip_mid_sequence(policy):
     original = make()
     for op in _OPS[:30]:
         drive(original, op)
-    clone = make()
-    clone.load_state_dict(original.state_dict())
-    assert clone.state_dict() == original.state_dict()
+    clone = pickle.loads(pickle.dumps(original))
+    assert same_state(clone, original)
     for op in _OPS[30:]:
         drive(original, op)
         drive(clone, op)
-    assert clone.state_dict() == original.state_dict()
+    assert same_state(clone, original)
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -203,26 +209,24 @@ def test_tlb_roundtrip_mid_sequence(policy):
     pages = [p % 13 for p in range(60)]
     for page in pages[:30]:
         drive(original, page)
-    clone = InstructionTLB(8, policy=policy)
-    clone.load_state_dict(original.state_dict())
-    assert clone.state_dict() == original.state_dict()
+    clone = pickle.loads(pickle.dumps(original))
+    assert same_state(clone, original)
     for page in pages[30:]:
         drive(original, page)
         drive(clone, page)
-    assert clone.state_dict() == original.state_dict()
-
-
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_policy_rejects_stale_snapshot(policy):
-    with pytest.raises(ValueError):
-        make_policy(policy).load_state_dict({"definitely": "stale"})
+    assert same_state(clone, original)
 
 
 def test_cache_snapshot_includes_policy_state():
-    cache = _one_set_cache(policy="bip")
-    assert "policy" in cache.state_dict()
-    tlb = InstructionTLB(8, policy="bip")
-    assert "policy" in tlb.state_dict()
+    """A restored cache or TLB gets its own copy of its policy's state,
+    and its insertion path is bound to that copy."""
+    for owner in (_one_set_cache(policy="bip"),
+                  InstructionTLB(8, policy="bip")):
+        owner.policy._fills = 5
+        clone = pickle.loads(pickle.dumps(owner))
+        assert clone.policy is not owner.policy
+        assert clone.policy._fills == 5
+        assert clone._insert_line.__self__ is clone.policy
 
 
 # ======================================================================

@@ -32,6 +32,7 @@ from tests.helpers import (
     ReferenceRunahead,
     TraceAssembler,
     reference_simulator,
+    same_state,
 )
 
 
@@ -83,7 +84,7 @@ def test_prefetch_many_matches_per_line_reference(params, ops):
             now += op[1]
         else:
             assert _apply(fast, op, now) == _apply(ref, op, now)
-        assert fast.state_dict() == ref.state_dict()
+        assert same_state(fast, ref)
         assert fast.stats == ref.stats
         # Direct issue is exact only because of this invariant.
         assert not fast._pending or len(fast._inflight) >= params.pf_mshrs
@@ -184,8 +185,8 @@ def test_advance_matches_per_line_reference_at_any_commit(spec, hierarchy,
                 side_fdip.advance(i, now)
             if fetch:
                 side_h.demand_fetch(trace.block0[i], now, i)
-        assert fdip.state_dict() == ref_fdip.state_dict()
-        assert h.state_dict() == ref_h.state_dict()
+        assert same_state(fdip, ref_fdip)
+        assert same_state(h, ref_h)
         assert h.stats == ref_h.stats
 
 
@@ -229,7 +230,7 @@ def test_simulator_matches_per_line_reference(name, itlb_prefetch, spec,
     fast_stats = fast.run(trace, warmup)
     ref_stats = ref.run(trace, warmup)
     assert fast_stats == ref_stats
-    assert fast.hierarchy.state_dict() == ref.hierarchy.state_dict()
-    assert fast.itlb.state_dict() == ref.itlb.state_dict()
+    assert same_state(fast.hierarchy, ref.hierarchy)
+    assert same_state(fast.itlb, ref.itlb)
     # Both sides share bind(): check that it wires the I-TLB path.
     assert (fast.frontend._tlb_pf is not None) == itlb_prefetch

@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.cpu import MachineConfig
 from repro.cpu.config import DEFAULT_WARMUP
+from repro.cpu.simulator import FrontEndSimulator
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
 from repro.experiments.journal import grid_fingerprint
@@ -36,6 +37,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.sweep import SweepPoint, grid, sweep
 from repro.frontend.fdip import FDIPFrontEnd
+from repro.prefetchers import make_prefetcher
 from repro.workloads import cache as workload_cache
 
 WORKLOAD = "mysql_sibench"
@@ -265,6 +267,29 @@ class TestDiskCacheStore:
         assert cache.clear() == 0
 
 
+class TestColdPointReads:
+    def test_in_process_sweep_reads_the_result_entry_once(
+            self, cache_dir, monkeypatch):
+        """The sweep probes each point before scheduling it, so the
+        scheduled attempt does not probe the result store again."""
+        store = diskcache.get_cache()
+        result_gets = []
+        real_get = diskcache.DiskCache.get
+
+        def counting_get(self, key):
+            if self is store:
+                result_gets.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(diskcache.DiskCache, "get", counting_get)
+        point = SweepPoint("mysql_sibench", "eip", scale="tiny")
+        report = sweep([point], jobs=1, progress=None)
+        assert report.ok
+        assert result_gets == [point.key()]
+        s = run_cache_stats()
+        assert s.kinds["result"].misses == 1 and s.simulations == 1
+
+
 class TestWarmupCheckpoint:
     """PR 2: the runner persists a post-warmup machine snapshot keyed by
     (trace, config fingerprint, prefetcher) and later runs of the same
@@ -307,8 +332,8 @@ class TestWarmupCheckpoint:
         cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         (path,) = diskcache.stores()["warmup"].entries()
         payload = _read_payload(path)
-        # Mangle the machine state so resume() raises mid-load.
-        payload["state"]["components"] = {"not": "the machine"}
+        # Cut the pickled machine short so resume() raises mid-load.
+        payload["state"] = payload["state"][:len(payload["state"]) // 2]
         _write_payload(path, payload)
         clear_run_cache()
         diskcache.get_cache().clear()
@@ -339,29 +364,17 @@ class TestWarmupCheckpoint:
         # The cold run re-persisted a fresh, valid checkpoint.
         assert s.kinds["warmup"].writes == 1
 
-    def test_old_frontend_layout_checkpoint_falls_back_cold(self, cache_dir):
-        # A checkpoint from before the front end's predictor tables left
-        # the snapshot (they are rebuilt from the trace at bind time),
-        # planted under the current warmup key: resume must reject it,
-        # and the point re-warms cold with identical stats.
-        from repro.frontend.btb import BranchTargetBuffer
-        from repro.frontend.ittage import ITTagePredictor
-        from repro.frontend.ras import ReturnAddressStack
-        from repro.frontend.tage import TagePredictor
-
+    def test_other_config_checkpoint_falls_back_cold(self, cache_dir):
+        # A machine of another configuration, planted under the current
+        # warmup key: resume must reject it, and the point re-warms
+        # cold with identical stats.
         cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         (path,) = diskcache.stores()["warmup"].entries()
         payload = _read_payload(path)
-        frontend = payload["state"]["components"]["frontend"]
-        payload["state"]["components"]["frontend"] = {
-            "btb": BranchTargetBuffer().state_dict(),
-            "tage": TagePredictor().state_dict(),
-            "ittage": ITTagePredictor().state_dict(),
-            "ras": ReturnAddressStack().state_dict(),
-            "penalties": {},
-            "ptr": frontend["ptr"],
-            "blocked_at": frontend["blocked_at"],
-        }
+        other = FrontEndSimulator(MachineConfig().replace(
+            **{"frontend.ftq_entries": 4}), make_prefetcher("eip"))
+        other.warmup(runner.get_trace(WORKLOAD, scale="tiny"))
+        payload["state"] = other.state_dict()
         _write_payload(path, payload)
         clear_run_cache()
         diskcache.get_cache().clear()
@@ -376,17 +389,23 @@ class TestWarmupCheckpoint:
             self, cache_dir, monkeypatch):
         # The guard must cover *any* exception type out of resume(),
         # not just the known stale-snapshot signatures.
-        from repro.cpu.simulator import FrontEndSimulator
-
         cold, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         clear_run_cache()
         diskcache.get_cache().clear()
         reset_run_cache_stats()
 
-        def explode(self, trace, state):
-            raise ZeroDivisionError("boom mid-load")
+        resume = FrontEndSimulator.resume
+        loads = []
 
-        monkeypatch.setattr(FrontEndSimulator, "resume", explode)
+        def explode_on_load(trace, state, config):
+            # The first call loads the stored checkpoint; the cold run
+            # that follows resumes its own fresh checkpoint.
+            loads.append(state)
+            if len(loads) == 1:
+                raise ZeroDivisionError("boom mid-load")
+            return resume(trace, state, config)
+
+        monkeypatch.setattr(FrontEndSimulator, "resume", explode_on_load)
         warm, _ = run_prefetcher(WORKLOAD, "eip", scale="tiny")
         s = run_cache_stats()
         assert s.kinds["warmup"].hits == 0 and s.simulations == 1
@@ -615,7 +634,7 @@ MALFORMED = {
     "result": {"stats": {"not": "a SimStats state"}, "miss_map": None},
     "warmup": {"state": "not a machine snapshot"},
     "trace": {"trace": {"pc": []}},
-    "pass": {"events": b"too short", "units": {}},
+    "pass": {"events": b"too short"},
 }
 
 
