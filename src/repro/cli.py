@@ -36,7 +36,11 @@ from repro.analysis.metrics import compare_run
 from repro.analysis.reporting import format_table
 from repro.cpu import DEFAULT_WARMUP, MachineConfig, simulate
 from repro.memory.policies import POLICY_DESCRIPTIONS, POLICY_NAMES
-from repro.prefetchers import PREFETCHER_NAMES, make_prefetcher
+from repro.prefetchers import (
+    PAPER_PREFETCHERS,
+    PREFETCHER_NAMES,
+    make_prefetcher,
+)
 from repro.workloads.suite import (
     ALL_WORKLOAD_NAMES,
     SCALES,
@@ -167,8 +171,12 @@ def cmd_sweep(args) -> int:
         SweepInterrupted,
     )
     from repro.experiments.journal import run_sweep
+    from repro.experiments.manifest import (
+        ManifestError,
+        SweepManifest,
+        load_manifest,
+    )
     from repro.experiments.service import JsonlEventLog
-    from repro.experiments.sweep import grid
 
     if args.point_timeout is not None and args.jobs < 2:
         print("--point-timeout needs --jobs >= 2: with --jobs 1 points "
@@ -181,8 +189,6 @@ def cmd_sweep(args) -> int:
                   "positional workloads / --policy arguments",
                   file=sys.stderr)
             return 2
-        from repro.experiments.manifest import ManifestError, load_manifest
-
         try:
             manifest = load_manifest(args.manifest)
         except ManifestError as exc:
@@ -200,19 +206,12 @@ def cmd_sweep(args) -> int:
             print(f"unknown workload(s): {', '.join(unknown)}",
                   file=sys.stderr)
             return 2
-        if args.policy:
-            from repro.experiments.policies import policy_overrides
-
-            points = []
-            for pol in args.policy:
-                points += grid(
-                    workloads, args.prefetchers, scale=args.scale,
-                    seed=args.seed, warmup=args.warmup,
-                    overrides=policy_overrides(pol, args.itlb_prefetch),
-                )
-        else:
-            points = grid(workloads, args.prefetchers, scale=args.scale,
-                          seed=args.seed, warmup=args.warmup)
+        points = SweepManifest(
+            tuple(workloads), tuple(args.prefetchers),
+            policies=tuple(args.policy or ()),
+            itlb_prefetch=args.itlb_prefetch, scales=(args.scale,),
+            seeds=(args.seed,), warmup=args.warmup,
+        ).expand()
     if args.resume is not None and args.no_cache:
         print("--resume needs the disk cache: the journal records "
               "which points completed, the cache holds their results",
@@ -673,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="run the comparison set")
     cmp_.add_argument("workload", choices=ALL_WORKLOAD_NAMES)
     cmp_.add_argument("--prefetchers", nargs="+",
-                      default=["efetch", "mana", "eip", "hierarchical"],
+                      default=list(PAPER_PREFETCHERS),
                       choices=[n for n in PREFETCHER_NAMES if n != "fdip"])
     cmp_.add_argument("--perfect", action="store_true",
                       help="include the perfect-L1I headroom row")
@@ -687,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                     help="workloads to sweep (default: all)")
     sw.add_argument("--prefetchers", nargs="+",
-                    default=["efetch", "mana", "eip", "hierarchical"],
+                    default=list(PAPER_PREFETCHERS),
                     choices=[n for n in PREFETCHER_NAMES if n != "fdip"])
     sw.add_argument("--jobs", type=int, default=1,
                     help="worker processes, one per point attempt "

@@ -13,7 +13,6 @@ over worker processes.
 from repro.experiments.runner import (
     DEFAULT_WARMUP,
     REPRESENTATIVE_WORKLOADS,
-    cache_key,
     clear_run_cache,
     compare_all,
     reset_run_cache_stats,
@@ -73,13 +72,11 @@ from repro.experiments.sweep import (
     SweepResult,
     grid,
     sweep,
-    sweep_grid,
 )
 
 __all__ = [
     "DEFAULT_WARMUP",
     "REPRESENTATIVE_WORKLOADS",
-    "cache_key",
     "run_baseline",
     "run_prefetcher",
     "run_cache_stats",
@@ -99,7 +96,6 @@ __all__ = [
     "SweepReport",
     "grid",
     "sweep",
-    "sweep_grid",
     "GridSample",
     "ManifestError",
     "SweepManifest",

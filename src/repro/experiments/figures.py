@@ -19,14 +19,13 @@ from repro.analysis.reporting import geomean
 from repro.experiments.runner import (
     DEFAULT_WARMUP,
     REPRESENTATIVE_WORKLOADS,
+    get_trace,
     perfect_l1i_speedup,
     run_baseline,
     run_prefetcher,
 )
-from repro.workloads.cache import get_trace
+from repro.prefetchers import PAPER_PREFETCHERS as PREFETCHERS
 from repro.workloads.suite import WORKLOAD_NAMES
-
-PREFETCHERS = ("efetch", "mana", "eip", "hierarchical")
 
 
 def _mean_speedup(prefetcher: str, workloads: Sequence[str], scale: str,

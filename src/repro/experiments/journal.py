@@ -337,12 +337,6 @@ class RunJournal:
             for fault in plan.journal_faults(self.segment):
                 corrupt_file(self.segment_path(), kind="truncate")
 
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def _failure_from_event(points: Sequence[SweepPoint],
                         event: dict) -> PointFailure:

@@ -65,8 +65,9 @@ except ImportError:  # Python < 3.9..3.10: JSON manifests only.
 
 from repro.cpu import MachineConfig
 from repro.experiments.errors import ExperimentError
+from repro.experiments.policies import policy_overrides
 from repro.experiments.runner import DEFAULT_WARMUP
-from repro.experiments.sweep import DEFAULT_PREFETCHERS, SweepPoint
+from repro.experiments.sweep import DEFAULT_PREFETCHERS, SweepPoint, grid
 from repro.memory.policies import POLICY_NAMES
 from repro.prefetchers import PREFETCHER_NAMES
 from repro.workloads.suite import ALL_WORKLOAD_NAMES, SCALES
@@ -165,26 +166,14 @@ class SweepManifest:
                 for policy in (self.policies or (None,)):
                     overrides = dict(self.overrides or {})
                     if policy is not None:
-                        from repro.experiments.policies import (
-                            policy_overrides,
-                        )
-
                         overrides.update(
                             policy_overrides(policy, self.itlb_prefetch))
-                    common = dict(
+                    points += grid(
+                        self.workloads, self.prefetchers,
+                        include_baseline=self.include_baseline,
                         scale=scale, seed=seed, warmup=self.warmup,
                         overrides=overrides or None,
-                        track_block_misses=self.track_block_misses,
-                    )
-                    for workload in self.workloads:
-                        if self.include_baseline:
-                            points.append(
-                                SweepPoint(workload, None, **common))
-                        for pf in self.prefetchers:
-                            if pf == "fdip":
-                                continue  # the baseline flag owns FDIP
-                            points.append(
-                                SweepPoint(workload, pf, **common))
+                        track_block_misses=self.track_block_misses)
         if self.sample is not None:
             keep = self.sample.indices(len(points))
             points = [points[i] for i in keep]

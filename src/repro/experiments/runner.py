@@ -2,9 +2,11 @@
 
 The paper's evaluation methodology (§6.1): warm up, then measure, with
 every prefetcher running on top of FDIP and compared to the plain FDIP
-baseline on the same workload.  ``run_prefetcher`` handles trace
-memoization, config overrides, and caching so that multi-figure
-benchmarks re-use each simulation.
+baseline on the same workload.  A :class:`SweepPoint` holds every
+input of one run and derives its cache keys; :meth:`SweepPoint.run`
+handles trace memoization, config overrides, and caching so that
+multi-figure benchmarks re-use each simulation (``run_prefetcher`` and
+``run_baseline`` build a point from keyword arguments).
 
 Caching is two-level:
 
@@ -43,17 +45,17 @@ from repro.cpu import MachineConfig
 from repro.cpu.config import DEFAULT_WARMUP
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache
-from repro.prefetchers import make_prefetcher
+from repro.prefetchers import PAPER_PREFETCHERS, make_prefetcher
 from repro.workloads import cache as workload_cache
 from repro.workloads.trace import Trace
 
 __all__ = [
     "DEFAULT_WARMUP",  # re-exported from repro.cpu.config (the source)
-    "REPRESENTATIVE_WORKLOADS", "RunCacheStats", "cache_key",
+    "REPRESENTATIVE_WORKLOADS", "RunCacheStats", "SweepPoint",
     "code_hash", "trace_key", "pass_key", "get_trace",
     "run_prefetcher", "simulate_point", "run_baseline", "compare_all",
     "perfect_l1i_speedup", "run_cache_stats", "reset_run_cache_stats",
-    "record_source", "seed_cache", "peek_cached", "clear_run_cache",
+    "record_simulation", "seed_cache", "peek_cached", "clear_run_cache",
 ]
 
 #: Subset used by parameter sweeps where running all 11 workloads per
@@ -128,37 +130,6 @@ def _config_fingerprint() -> str:
     return _FINGERPRINT
 
 
-def _key(workload: str, scale: str, prefetcher: Optional[str],
-         pf_kwargs: Optional[dict], overrides: Optional[dict],
-         track: bool, warmup: float, seed: int) -> str:
-    def encode(obj):
-        return json.dumps(obj, sort_keys=True, default=str) if obj else ""
-    return "|".join([
-        workload, scale, prefetcher or "fdip", encode(pf_kwargs),
-        encode(overrides), "t" if track else "", f"{warmup}",
-        f"s{seed}", _config_fingerprint(),
-    ])
-
-
-def _warmup_key(workload: str, scale: str, prefetcher: Optional[str],
-                pf_kwargs: Optional[dict], overrides: Optional[dict],
-                warmup: float, seed: int) -> str:
-    """Checkpoint key for the post-warmup machine snapshot.
-
-    Deliberately excludes ``track_block_misses``: the L2 miss map is
-    observability bookkeeping that is cleared at measurement start, so
-    runs that differ only in tracking share one warmup checkpoint —
-    which is exactly what lets a tracked re-run of an untracked point
-    skip its warmup.
-    """
-    def encode(obj):
-        return json.dumps(obj, sort_keys=True, default=str) if obj else ""
-    return "|".join([
-        "warmup", workload, scale, prefetcher or "fdip", encode(pf_kwargs),
-        encode(overrides), f"{warmup}", f"s{seed}", _config_fingerprint(),
-    ])
-
-
 def trace_key(workload: str, scale: str, seed: int) -> str:
     """Trace-store key: a trace depends on its generator's code, not on
     the machine configuration."""
@@ -172,19 +143,60 @@ def pass_key(workload: str, scale: str, seed: int, bpu: tuple) -> str:
                      *map(str, bpu)])
 
 
-def cache_key(
-    workload: str,
-    prefetcher: Optional[str],
-    scale: str = "bench",
-    pf_kwargs: Optional[dict] = None,
-    overrides: Optional[dict] = None,
-    track_block_misses: bool = False,
-    warmup: float = DEFAULT_WARMUP,
-    seed: int = 1,
-) -> str:
-    """Public form of the run key (same signature as run_prefetcher)."""
-    return _key(workload, scale, prefetcher, pf_kwargs, overrides,
-                track_block_misses, warmup, seed)
+@dataclasses.dataclass(frozen=True)
+class SweepPoint:
+    """One simulation point: every input that can change its result
+    (``prefetcher=None`` is the FDIP baseline)."""
+
+    workload: str
+    prefetcher: Optional[str] = None
+    scale: str = "bench"
+    pf_kwargs: Optional[dict] = None
+    overrides: Optional[dict] = None
+    track_block_misses: bool = False
+    warmup: float = DEFAULT_WARMUP
+    seed: int = 1
+
+    @property
+    def label(self) -> str:
+        return f"{self.workload}/{self.prefetcher or 'fdip'}"
+
+    def _join(self, *track: str) -> str:
+        """The key fields in their fixed order; ``track`` is the result
+        key's miss-tracking field, which the warmup key leaves out."""
+        def encode(obj):
+            return json.dumps(obj, sort_keys=True, default=str) if obj else ""
+        return "|".join([
+            self.workload, self.scale, self.prefetcher or "fdip",
+            encode(self.pf_kwargs), encode(self.overrides), *track,
+            f"{self.warmup}", f"s{self.seed}", _config_fingerprint(),
+        ])
+
+    def key(self) -> str:
+        """The result key."""
+        return self._join("t" if self.track_block_misses else "")
+
+    def warmup_key(self) -> str:
+        """Checkpoint key for the post-warmup machine snapshot.
+
+        Deliberately excludes ``track_block_misses``: the L2 miss map is
+        observability bookkeeping that is cleared at measurement start,
+        so runs that differ only in tracking share one warmup checkpoint
+        — which is exactly what lets a tracked re-run of an untracked
+        point skip its warmup.
+        """
+        return "warmup|" + self._join()
+
+    def run(self, use_cache: bool = True) -> Tuple[SimStats, Optional[dict]]:
+        """``(stats, l2_miss_map)`` of this point — the map is None
+        unless ``track_block_misses``: from the result layers, else
+        simulated (:func:`simulate_point`).  ``use_cache=False``
+        neither reads nor writes any layer or store."""
+        if use_cache:
+            hit = peek_cached(self.key())
+            if hit is not None:
+                return hit[0], hit[1]
+        return simulate_point(self, use_cache)
 
 
 # ----------------------------------------------------------------------
@@ -237,15 +249,10 @@ def reset_run_cache_stats() -> None:
         store.reset_counts()
 
 
-def record_source(source: str) -> None:
-    """Count a result a sweep worker resolved on this process's behalf,
+def record_simulation() -> None:
+    """Count a point a sweep worker simulated on this process's behalf,
     so :func:`run_cache_stats` reflects it."""
-    if source == "sim":
-        _STATS.simulations += 1
-    elif source == "disk":
-        diskcache.get_cache().hits += 1
-    else:
-        _STATS.memory_hits += 1
+    _STATS.simulations += 1
 
 
 def seed_cache(key: str, stats: SimStats,
@@ -314,49 +321,31 @@ def run_prefetcher(
     seed: int = 1,
     use_cache: bool = True,
 ) -> Tuple[SimStats, Optional[dict]]:
-    """Simulate ``workload`` under ``prefetcher``; returns
-    ``(stats, l2_miss_map)`` — the map is None unless
-    ``track_block_misses``.  Results are cached in-process and (unless
-    disabled) on disk; ``use_cache=False`` neither reads nor writes
-    either layer.
-    """
-    if use_cache:
-        hit = peek_cached(_key(workload, scale, prefetcher, pf_kwargs,
-                               overrides, track_block_misses, warmup, seed))
-        if hit is not None:
-            return hit[0], hit[1]
-    return simulate_point(workload, prefetcher, scale, pf_kwargs, overrides,
-                          track_block_misses, warmup, seed, use_cache)
+    """Simulate ``workload`` under ``prefetcher``: :meth:`SweepPoint.run`
+    of that point."""
+    return SweepPoint(workload, prefetcher, scale, pf_kwargs, overrides,
+                      track_block_misses, warmup, seed).run(use_cache)
 
 
 def simulate_point(
-    workload: str,
-    prefetcher: Optional[str],
-    scale: str = "bench",
-    pf_kwargs: Optional[dict] = None,
-    overrides: Optional[dict] = None,
-    track_block_misses: bool = False,
-    warmup: float = DEFAULT_WARMUP,
-    seed: int = 1,
-    use_cache: bool = True,
+    point: SweepPoint, use_cache: bool = True,
 ) -> Tuple[SimStats, Optional[dict]]:
-    """:func:`run_prefetcher` for a point known to miss the result
-    layers (a sweep probes each point before it schedules it): simulate
-    it, through the trace, pass and warmup stores, and cache the
-    result."""
-    key = _key(workload, scale, prefetcher, pf_kwargs, overrides,
-               track_block_misses, warmup, seed)
+    """Simulate a point known to miss the result layers (a sweep probes
+    each point before it schedules it), through the trace, pass and
+    warmup stores, and cache the result."""
     stores = diskcache.stores()
-    trace = get_trace(workload, scale=scale, seed=seed, use_cache=use_cache)
+    trace = get_trace(point.workload, scale=point.scale, seed=point.seed,
+                      use_cache=use_cache)
     config = MachineConfig()
-    if overrides:
-        config = config.replace(**overrides)
+    if point.overrides:
+        config = config.replace(**point.overrides)
+    track = point.track_block_misses
     # The prediction pass: from the trace, else the pass store, else
     # run by bind() below and then stored.
     bpu = config.frontend.bpu_key
     pkey = None
     if use_cache and bpu not in trace.bpu_passes:
-        pkey = pass_key(workload, scale, seed, bpu)
+        pkey = pass_key(point.workload, point.scale, point.seed, bpu)
         done = stores["pass"].load(pkey, trace)
         if done is not None:
             trace.bpu_passes[bpu] = done
@@ -367,21 +356,20 @@ def simulate_point(
     if use_cache:
         # A checkpoint that resume() rejects counts as corrupt, and the
         # point warms up cold on a fresh simulator.
-        wkey = _warmup_key(workload, scale, prefetcher, pf_kwargs,
-                           overrides, warmup, seed)
+        wkey = point.warmup_key()
         sim = stores["warmup"].load(wkey, trace, config)
         if sim is not None:
             # The warmup key leaves miss tracking out: this run's flag
             # decides it, as it does for a fresh simulator.
-            sim.hierarchy.l2_miss_map = {} if track_block_misses else None
+            sim.hierarchy.l2_miss_map = {} if track else None
     if sim is None:
         pf = (
-            make_prefetcher(prefetcher, **(pf_kwargs or {}))
-            if prefetcher else None
+            make_prefetcher(point.prefetcher, **(point.pf_kwargs or {}))
+            if point.prefetcher else None
         )
         sim = FrontEndSimulator(config=config, prefetcher=pf,
-                                track_block_misses=track_block_misses)
-        sim.warmup(trace, warmup_fraction=warmup)
+                                track_block_misses=track)
+        sim.warmup(trace, warmup_fraction=point.warmup)
         if use_cache:
             state = sim.state_dict()
             stores["warmup"].save(wkey, state=state)
@@ -393,12 +381,11 @@ def simulate_point(
     if pkey is not None:
         stores["pass"].save(pkey, events=trace.bpu_passes[bpu])
     stats = sim.measure()
-    miss_map = (
-        dict(sim.hierarchy.l2_miss_map) if track_block_misses else None
-    )
+    miss_map = dict(sim.hierarchy.l2_miss_map) if track else None
     _STATS.simulations += 1
     result = (stats, miss_map)
     if use_cache:
+        key = point.key()
         _CACHE[key] = result
         stores["result"].save(key, stats=stats.state_dict(),
                               miss_map=miss_map)
@@ -415,16 +402,13 @@ def run_baseline(
     use_cache: bool = True,
 ) -> Tuple[SimStats, Optional[dict]]:
     """FDIP-only run (the baseline of every comparison)."""
-    return run_prefetcher(
-        workload, None, scale=scale, overrides=overrides,
-        track_block_misses=track_block_misses, warmup=warmup,
-        seed=seed, use_cache=use_cache,
-    )
+    return SweepPoint(workload, None, scale, None, overrides,
+                      track_block_misses, warmup, seed).run(use_cache)
 
 
 def compare_all(
     workload: str,
-    prefetchers: Sequence[str] = ("efetch", "mana", "eip", "hierarchical"),
+    prefetchers: Sequence[str] = PAPER_PREFETCHERS,
     scale: str = "bench",
     overrides: Optional[dict] = None,
     jobs: int = 1,
@@ -435,15 +419,10 @@ def compare_all(
     sweep engine (uncached points simulate concurrently).
     """
     if jobs > 1:
-        from repro.experiments.sweep import SweepPoint, sweep
+        from repro.experiments.sweep import grid, sweep
 
-        points = [SweepPoint(workload, None, scale=scale,
-                             overrides=overrides)]
-        points += [
-            SweepPoint(workload, name, scale=scale, overrides=overrides)
-            for name in prefetchers
-        ]
-        sweep(points, jobs=jobs, progress=None)
+        sweep(grid([workload], prefetchers, scale=scale,
+                   overrides=overrides), jobs=jobs, progress=None)
     baseline, _ = run_baseline(workload, scale=scale, overrides=overrides)
     out: Dict[str, PrefetchReport] = {}
     for name in prefetchers:

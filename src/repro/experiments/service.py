@@ -158,16 +158,14 @@ class JsonlEventLog:
     ``fsync=True`` every line is also fsync'd — the crash-durability
     mode the run journal uses, where a journaled record must survive a
     SIGKILL of the writer, and the mark of a durable sink (see
-    :class:`_Emitter`).  ``append=True`` keeps an existing file's
-    contents.  Usable as a context manager; ``close()`` is idempotent.
+    :class:`_Emitter`).  Usable as a context manager; ``close()`` is
+    idempotent.
     """
 
-    def __init__(self, path: Union[str, Path], append: bool = False,
-                 fsync: bool = False):
+    def __init__(self, path: Union[str, Path], fsync: bool = False):
         self.path = Path(path)
         self.fsync = bool(fsync)
-        self._fh = open(self.path, "a" if append else "w",
-                        encoding="utf-8")
+        self._fh = open(self.path, "w", encoding="utf-8")
 
     def __call__(self, event: dict) -> None:
         if self._fh is None:
@@ -214,17 +212,14 @@ def read_events(path: Union[str, Path]) -> List[dict]:
 
 
 def follow_events(path: Union[str, Path], poll: float = 0.2,
-                  timeout: Optional[float] = None,
-                  stop: Optional[Callable[[], bool]] = None,
-                  ) -> Iterator[dict]:
+                  timeout: Optional[float] = None) -> Iterator[dict]:
     """Tail a live JSONL event stream, yielding events as they land.
 
     The minimal-CLI dashboard primitive (``repro manifest events
     --follow``): starts from the top of the file (which may not exist
     yet), sleeps ``poll`` seconds between reads, and returns after an
-    ``end`` event, when ``stop()`` goes true, or after ``timeout``
-    seconds of wall time.  A partially written final line is simply
-    retried on the next poll.
+    ``end`` event or after ``timeout`` seconds of wall time.  A
+    partially written final line is simply retried on the next poll.
     """
     deadline = (None if timeout is None
                 else time.monotonic() + timeout)
@@ -251,8 +246,6 @@ def follow_events(path: Union[str, Path], poll: float = 0.2,
             yield event
             if event.get("event") == "end":
                 return
-        if stop is not None and stop():
-            return
         if deadline is not None and time.monotonic() >= deadline:
             return
         time.sleep(poll)

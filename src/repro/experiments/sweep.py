@@ -1,17 +1,17 @@
 """The sweep engine: fault-tolerant evaluation of (workload × prefetcher ×
 config) points.
 
-``runner.run_prefetcher`` evaluates one point; the full §6 grid is
-hundreds of points that are completely independent.  :func:`sweep` is
-the one engine that runs such a grid — for library callers, the figure
-scripts, and (through :func:`repro.experiments.journal.run_sweep`)
-every ``repro sweep``.  It is a single synchronous supervision loop
-that runs each attempt of each pending point either in its own worker
-process (``jobs >= 2``) or in the calling process (``jobs == 1``).
-Workers share the on-disk result cache
-(:mod:`repro.experiments.diskcache`), so a sweep only pays for points
-nobody has simulated yet, and its results are visible to every later
-process.
+:meth:`~repro.experiments.runner.SweepPoint.run` evaluates one point;
+the full §6 grid is hundreds of points that are completely
+independent.  :func:`sweep` is the one engine that runs such a grid —
+for library callers, the figure scripts, and (through
+:func:`repro.experiments.journal.run_sweep`) every ``repro sweep``.
+It is a single synchronous supervision loop that runs each attempt of
+each pending point either in its own worker process (``jobs >= 2``) or
+in the calling process (``jobs == 1``).  Workers share the on-disk
+result cache (:mod:`repro.experiments.diskcache`), so a sweep only
+pays for points nobody has simulated yet, and its results are visible
+to every later process.
 
 Guarantees:
 
@@ -81,11 +81,9 @@ from repro.experiments.errors import (
     backoff_delay,
 )
 from repro.experiments.faults import FaultPlan
-from repro.experiments.runner import DEFAULT_WARMUP
+from repro.experiments.runner import SweepPoint
 from repro.experiments.service import EventSink, ShutdownRequest, _Emitter
-
-#: The paper's comparison set (Figures 9-11, Table 2).
-DEFAULT_PREFETCHERS = ("efetch", "mana", "eip", "hierarchical")
+from repro.prefetchers import PAPER_PREFETCHERS as DEFAULT_PREFETCHERS
 
 #: Retries per point after the first attempt (crash/hang/transient
 #: failures only; deterministic simulation errors are never retried).
@@ -96,44 +94,6 @@ DEFAULT_BACKOFF = 0.25
 
 #: Parent-side poll period while supervising workers.
 _POLL_SECONDS = 0.01
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepPoint:
-    """One simulation point: the full argument set of
-    ``runner.run_prefetcher`` (``prefetcher=None`` = FDIP baseline)."""
-
-    workload: str
-    prefetcher: Optional[str] = None
-    scale: str = "bench"
-    pf_kwargs: Optional[dict] = None
-    overrides: Optional[dict] = None
-    track_block_misses: bool = False
-    warmup: float = DEFAULT_WARMUP
-    seed: int = 1
-
-    @property
-    def label(self) -> str:
-        return f"{self.workload}/{self.prefetcher or 'fdip'}"
-
-    def key(self) -> str:
-        return runner.cache_key(
-            self.workload, self.prefetcher, scale=self.scale,
-            pf_kwargs=self.pf_kwargs, overrides=self.overrides,
-            track_block_misses=self.track_block_misses,
-            warmup=self.warmup, seed=self.seed,
-        )
-
-    def simulate(self,
-                 use_cache: bool = True) -> Tuple[SimStats, Optional[dict]]:
-        """Simulate this point; the sweep has already probed the result
-        layers for it (:func:`repro.experiments.runner.simulate_point`)."""
-        return runner.simulate_point(
-            self.workload, self.prefetcher, scale=self.scale,
-            pf_kwargs=self.pf_kwargs, overrides=self.overrides,
-            track_block_misses=self.track_block_misses,
-            warmup=self.warmup, seed=self.seed, use_cache=use_cache,
-        )
 
 
 @dataclasses.dataclass
@@ -207,25 +167,6 @@ def grid(
     return points
 
 
-def _classify(before: runner.RunCacheStats,
-              after: runner.RunCacheStats) -> str:
-    if after.simulations > before.simulations:
-        return "sim"
-    if after.disk_hits > before.disk_hits:
-        return "disk"
-    return "memory"
-
-
-def _run_serial(point: SweepPoint,
-                use_cache: bool) -> Tuple[SimStats, Optional[dict], str, float]:
-    before = runner.run_cache_stats()
-    start = time.perf_counter()
-    stats, miss_map = point.simulate(use_cache=use_cache)
-    elapsed = time.perf_counter() - start
-    source = _classify(before, runner.run_cache_stats()) if use_cache else "sim"
-    return stats, miss_map, source, elapsed
-
-
 # ----------------------------------------------------------------------
 # One attempt
 # ----------------------------------------------------------------------
@@ -233,7 +174,7 @@ def _execute(point: SweepPoint, index: int, attempt: int, use_cache: bool,
              plan: Optional[FaultPlan], in_process: bool) -> Tuple:
     """Run one attempt of one point and return its outcome tuple.
 
-    Outcomes: ``("ok", state_dict, miss_map, source, elapsed)``,
+    Outcomes: ``("ok", state_dict, miss_map, elapsed)``,
     ``("transient", message)`` for injected flaky faults, or
     ``("error", message)`` for a real (deterministic, non-retryable)
     exception from the simulation.  In a worker process an injected
@@ -255,13 +196,15 @@ def _execute(point: SweepPoint, index: int, attempt: int, use_cache: bool,
         else:
             return ("transient",
                     f"injected transient fault at {point.label}")
+    start = time.perf_counter()
     try:
-        stats, miss_map, source, elapsed = _run_serial(point, use_cache)
+        stats, miss_map = runner.simulate_point(point, use_cache)
     except Exception as exc:
         return ("error", f"{type(exc).__name__}: {exc}")
+    elapsed = time.perf_counter() - start
     if plan and use_cache:
         plan.corrupt_cache_entries(index, point.label, attempt, point.key())
-    return ("ok", stats.state_dict(), miss_map, source, elapsed)
+    return ("ok", stats.state_dict(), miss_map, elapsed)
 
 
 def _point_process(conn, index: int, attempt: int, point: SweepPoint,
@@ -445,21 +388,21 @@ class _Supervisor:
         point (raising the :class:`PointFailure` under fail-fast)."""
         point = self.points[index]
         if outcome[0] == "ok":
-            _, state, miss_map, source, elapsed = outcome
+            _, state, miss_map, elapsed = outcome
             stats = SimStats.from_state(state)
             if not self.in_process:
-                # The worker counted the point and wrote its result to
+                # The worker simulated the point and wrote its result to
                 # the disk cache before sending the outcome; mirror it
                 # into this process.  In-process runs already did both.
-                runner.record_source(source)
+                runner.record_simulation()
                 if self.use_cache:
                     runner.seed_cache(point.key(), stats, miss_map)
             self.emit("completed", index=index, label=point.label,
-                      attempt=attempt, shard=0, source=source,
+                      attempt=attempt, shard=0, source="sim",
                       seconds=round(elapsed, 4))
             self._terminal()
             self.complete(index, SweepResult(
-                point, stats, miss_map, elapsed, source))
+                point, stats, miss_map, elapsed, "sim"))
             return
         error = _outcome_error(outcome, point.label)
         if isinstance(error, TransientError) \
@@ -702,38 +645,8 @@ def sweep(
     return sup.report()
 
 
-def sweep_grid(
-    workloads: Sequence[str],
-    prefetchers: Sequence[str] = DEFAULT_PREFETCHERS,
-    jobs: int = 1,
-    use_cache: bool = True,
-    progress: Optional[ProgressFn] = _default_progress,
-    include_baseline: bool = True,
-    **kwargs,
-) -> Dict[str, Dict[str, SweepResult]]:
-    """Convenience wrapper: sweep a workload × prefetcher grid and
-    return ``{workload: {prefetcher_or_'fdip': SweepResult}}``.
-
-    Point fields (scale, seed, warmup, overrides...) and resilience
-    knobs (max_retries, point_timeout, keep_going...) both pass through
-    ``kwargs``; failed points are simply absent from the mapping when
-    ``keep_going=True``.
-    """
-    point_fields = {f.name for f in dataclasses.fields(SweepPoint)}
-    common = {k: v for k, v in kwargs.items() if k in point_fields}
-    policy = {k: v for k, v in kwargs.items() if k not in point_fields}
-    points = grid(workloads, prefetchers,
-                  include_baseline=include_baseline, **common)
-    out: Dict[str, Dict[str, SweepResult]] = {}
-    for result in sweep(points, jobs=jobs, use_cache=use_cache,
-                        progress=progress, **policy):
-        name = result.point.prefetcher or "fdip"
-        out.setdefault(result.point.workload, {})[name] = result
-    return out
-
-
 __all__ = [
     "DEFAULT_PREFETCHERS", "DEFAULT_MAX_RETRIES", "DEFAULT_BACKOFF",
     "SweepPoint", "SweepResult", "SweepReport", "PointFailure",
-    "grid", "sweep", "sweep_grid",
+    "grid", "sweep",
 ]

@@ -9,13 +9,13 @@ from repro.analysis.metrics import compare_run
 from repro.core.bundles import identify_bundles
 from repro.experiments.runner import (
     REPRESENTATIVE_WORKLOADS,
+    get_trace,
     run_baseline,
     run_prefetcher,
 )
-from repro.workloads.cache import get_application, get_trace
+from repro.prefetchers import PAPER_PREFETCHERS as PREFETCHERS
+from repro.workloads.cache import get_application
 from repro.workloads.suite import WORKLOAD_NAMES
-
-PREFETCHERS = ("efetch", "mana", "eip", "hierarchical")
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,11 @@ from repro.prefetchers.mana import ManaPrefetcher
 from repro.prefetchers.eip import EIPPrefetcher
 from repro.prefetchers.pif import PIFPrefetcher
 from repro.prefetchers.rdip import RDIPPrefetcher
-from repro.prefetchers.registry import make_prefetcher, PREFETCHER_NAMES
+from repro.prefetchers.registry import (
+    PAPER_PREFETCHERS,
+    PREFETCHER_NAMES,
+    make_prefetcher,
+)
 
 __all__ = [
     "InstructionPrefetcher",
@@ -23,4 +27,5 @@ __all__ = [
     "PIFPrefetcher",
     "make_prefetcher",
     "PREFETCHER_NAMES",
+    "PAPER_PREFETCHERS",
 ]

@@ -16,6 +16,10 @@ from repro.prefetchers.mana import ManaPrefetcher
 PREFETCHER_NAMES = ("fdip", "efetch", "mana", "eip", "hierarchical", "rdip",
                     "pif", "hp_compressed")
 
+#: The paper's comparison set (Figures 9-11, Table 2), each run on top
+#: of the FDIP baseline.
+PAPER_PREFETCHERS = ("efetch", "mana", "eip", "hierarchical")
+
 #: HPConfig overrides of the ``hp_compressed`` variant: a Metadata
 #: Buffer four times smaller, compensated by coarser-grained compressed
 #: records — more spatial-region entries per bundle segment and wider

@@ -22,7 +22,6 @@ Contracts under test:
 
 import errno
 import hashlib
-import importlib
 import json
 import multiprocessing
 import os
@@ -68,8 +67,6 @@ from repro.experiments.service import (
 )
 from repro.experiments.sweep import SweepPoint, sweep
 
-sweep_mod = importlib.import_module("repro.experiments.sweep")
-
 WORKLOAD = "mysql_sibench"
 
 
@@ -92,7 +89,7 @@ def _points(n=6):
     return pts[:n]
 
 
-def _fake_run_serial(point, use_cache):
+def _fake_simulate(point, use_cache):
     """Deterministic synthetic executor (same scheme as
     tests/test_service.py): supervision loop, retries, cache, and
     journal are all real; only the simulation is synthesized per point
@@ -106,16 +103,16 @@ def _fake_run_serial(point, use_cache):
         runner.seed_cache(point.key(), stats, None)
         diskcache.get_cache().save(point.key(), stats=stats.state_dict(),
                                    miss_map=None)
-    return stats, None, "sim", 0.001
+    return stats, None
 
 
 @pytest.fixture()
 def fake_executor(monkeypatch):
-    monkeypatch.setattr(sweep_mod, "_run_serial", _fake_run_serial)
+    monkeypatch.setattr(runner, "simulate_point", _fake_simulate)
 
 
 def _ref_states(points):
-    return {p.key(): _fake_run_serial(p, False)[0].state_dict()
+    return {p.key(): _fake_simulate(p, False)[0].state_dict()
             for p in points}
 
 
@@ -201,14 +198,6 @@ class TestJournalRecords:
             for event in events[-replayed:]:  # the re-appended tail
                 log(event)
         assert read_run_events(run_dir) == events
-
-    def test_append_mode_keeps_existing_records(self, tmp_path):
-        path = tmp_path / "seg.jsonl"
-        with JsonlEventLog(path) as log:
-            log({"seq": 1, "event": "begin"})
-        with JsonlEventLog(path, append=True) as log:
-            log({"seq": 2, "event": "end"})
-        assert [e["seq"] for e in read_events(path)] == [1, 2]
 
 
 # ----------------------------------------------------------------------
@@ -386,16 +375,13 @@ class TestInterruptAndResume:
 # SIGKILL chaos: kill -9 the parent mid-run, resume, prove bit-identity
 # ----------------------------------------------------------------------
 _CHILD_SCRIPT = textwrap.dedent("""
-    import hashlib, importlib, sys, time
-    # NB: ``import repro.experiments.sweep`` would bind the package's
-    # re-exported sweep *function*, not the module.
-    sweep_mod = importlib.import_module("repro.experiments.sweep")
+    import hashlib, sys, time
     from repro.cpu.stats import SimStats
     from repro.experiments import diskcache, runner
     from repro.experiments.journal import run_sweep
     from repro.experiments.sweep import SweepPoint
 
-    def fake_run_serial(point, use_cache):
+    def fake_simulate(point, use_cache):
         digest = hashlib.sha256(
             point.key().encode("utf-8")).hexdigest()
         stats = SimStats()
@@ -407,9 +393,9 @@ _CHILD_SCRIPT = textwrap.dedent("""
             runner.seed_cache(point.key(), stats, None)
             diskcache.get_cache().save(point.key(), stats=stats.state_dict(),
                                        miss_map=None)
-        return stats, None, "sim", 0.001
+        return stats, None
 
-    sweep_mod._run_serial = fake_run_serial
+    runner.simulate_point = fake_simulate
     points = [SweepPoint("mysql_sibench", pf, scale="tiny", seed=seed)
               for seed in (1, 2)
               for pf in (None, "eip", "mana", "hierarchical", "efetch")]

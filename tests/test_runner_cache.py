@@ -7,7 +7,9 @@ the headline guarantee: a fresh process re-simulates nothing that is
 already on disk.
 """
 
+import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
@@ -25,9 +27,9 @@ from repro.cpu.config import DEFAULT_WARMUP
 from repro.cpu.simulator import FrontEndSimulator
 from repro.cpu.stats import SimStats
 from repro.experiments import diskcache, runner
+from repro.experiments.figures import fig01_stage_footprints
 from repro.experiments.journal import grid_fingerprint
 from repro.experiments.runner import (
-    cache_key,
     clear_run_cache,
     reset_run_cache_stats,
     run_baseline,
@@ -68,32 +70,49 @@ def cache_dir(tmp_path):
     diskcache.set_cache_dir(previous)
 
 
+def _key(prefetcher, **fields):
+    return SweepPoint(WORKLOAD, prefetcher, **fields).key()
+
+
 class TestCacheKey:
     def test_seed_in_key(self):
         # The original bug: seeds aliased to one cached result.
-        assert (cache_key(WORKLOAD, "eip", seed=1)
-                != cache_key(WORKLOAD, "eip", seed=2))
+        assert _key("eip", seed=1) != _key("eip", seed=2)
 
     def test_warmup_in_key(self):
-        assert (cache_key(WORKLOAD, "eip", warmup=0.45)
-                != cache_key(WORKLOAD, "eip", warmup=0.5))
+        assert _key("eip", warmup=0.45) != _key("eip", warmup=0.5)
 
     def test_overrides_in_key(self):
-        assert (cache_key(WORKLOAD, None)
-                != cache_key(WORKLOAD, None,
-                             overrides={"hierarchy.perfect_l1i": True}))
+        assert (_key(None)
+                != _key(None, overrides={"hierarchy.perfect_l1i": True}))
 
     def test_pf_kwargs_in_key(self):
-        assert (cache_key(WORKLOAD, "mana")
-                != cache_key(WORKLOAD, "mana", pf_kwargs={"lookahead": 3}))
+        assert _key("mana") != _key("mana", pf_kwargs={"lookahead": 3})
 
     def test_track_and_prefetcher_in_key(self):
-        assert (cache_key(WORKLOAD, "eip")
-                != cache_key(WORKLOAD, "eip", track_block_misses=True))
-        assert cache_key(WORKLOAD, None) != cache_key(WORKLOAD, "eip")
+        assert _key("eip") != _key("eip", track_block_misses=True)
+        assert _key(None) != _key("eip")
 
     def test_key_is_stable(self):
-        assert cache_key(WORKLOAD, "eip") == cache_key(WORKLOAD, "eip")
+        assert _key("eip") == _key("eip")
+
+    def test_key_format(self):
+        """Result and warmup keys keep their string layout (so entries
+        written by the same code stay addressable), and the warmup key
+        leaves miss tracking out."""
+        fp = runner._config_fingerprint()
+        point = SweepPoint(WORKLOAD, "mana", scale="tiny",
+                           pf_kwargs={"lookahead": 3},
+                           overrides={"hierarchy.perfect_l1i": True},
+                           track_block_misses=True, warmup=0.4, seed=2)
+        fields = (f'{WORKLOAD}|tiny|mana|{{"lookahead": 3}}|'
+                  f'{{"hierarchy.perfect_l1i": true}}')
+        assert point.key() == f"{fields}|t|0.4|s2|{fp}"
+        assert point.warmup_key() == f"warmup|{fields}|0.4|s2|{fp}"
+        assert SweepPoint(WORKLOAD).key() == \
+            f"{WORKLOAD}|bench|fdip||||{DEFAULT_WARMUP}|s1|{fp}"
+        untracked = dataclasses.replace(point, track_block_misses=False)
+        assert untracked.warmup_key() == point.warmup_key()
 
 
 class TestSeedNotAliased:
@@ -288,6 +307,65 @@ class TestColdPointReads:
         assert result_gets == [point.key()]
         s = run_cache_stats()
         assert s.kinds["result"].misses == 1 and s.simulations == 1
+
+
+#: The ledger's child process; it puts its own directory on sys.path.
+LEDGER_CHILD = (Path(__file__).resolve().parents[1] / "benchmarks"
+                / "ledger" / "child.py")
+
+
+class TestPointRun:
+    """``SweepPoint.run``: one point's evaluation outside a sweep."""
+
+    def test_ledger_serial_grid_runs_the_manifest(self, cache_dir,
+                                                  tmp_path):
+        """The ledger's traced fallback for start methods other than
+        fork evaluates each manifest point with ``point.run()``."""
+        manifest = tmp_path / "grid.json"
+        manifest.write_text(json.dumps({"sweep": {
+            "workloads": [WORKLOAD], "prefetchers": ["eip"],
+            "include_baseline": False, "scale": "tiny"}}))
+        spec = importlib.util.spec_from_file_location("ledger_child",
+                                                      LEDGER_CHILD)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        assert child._serial_grid(
+            ["sweep", "--manifest", str(manifest)]) == 0
+        s = run_cache_stats()
+        assert s.simulations == 1 and s.kinds["result"].writes == 1
+        point = SweepPoint(WORKLOAD, "eip", scale="tiny")
+        assert runner.peek_cached(point.key()) is not None
+
+    def test_rerun_hits_memory_and_matches_a_sweep(self, cache_dir):
+        point = SweepPoint(WORKLOAD, "eip", scale="tiny")
+        first, _ = point.run()
+        again, _ = point.run()
+        assert again is first
+        s = run_cache_stats()
+        assert (s.simulations, s.memory_hits) == (1, 1)
+        report = sweep([point], use_cache=False, progress=None)
+        assert report.results[0].stats.state_dict() == first.state_dict()
+
+    def test_without_a_cache_no_store_is_touched(self, cache_dir,
+                                                 monkeypatch):
+        calls = []
+        real_get, real_put = diskcache.DiskCache.get, diskcache.DiskCache.put
+
+        def get(self, key):
+            calls.append(("get", key))
+            return real_get(self, key)
+
+        def put(self, key, payload):
+            calls.append(("put", key))
+            return real_put(self, key, payload)
+
+        monkeypatch.setattr(diskcache.DiskCache, "get", get)
+        monkeypatch.setattr(diskcache.DiskCache, "put", put)
+        point = SweepPoint(WORKLOAD, "mana", scale="tiny")
+        point.run(use_cache=False)
+        assert calls == []
+        assert runner.peek_cached(point.key()) is None
+        assert run_cache_stats().simulations == 1
 
 
 class TestWarmupCheckpoint:
@@ -508,6 +586,16 @@ class TestTraceStore:
         assert (s.kinds["trace"].hits, s.kinds["trace"].writes) == (1, 1)
         assert loaded.state_dict() == built.state_dict()
 
+    def test_figures_read_the_trace_store(self, cache_dir, builds):
+        first = fig01_stage_footprints(WORKLOAD, scale="tiny")
+        assert builds == [WORKLOAD]
+        workload_cache.clear_caches()
+        reset_run_cache_stats()
+        second = fig01_stage_footprints(WORKLOAD, scale="tiny")
+        assert builds == [WORKLOAD]  # loaded, not rebuilt
+        assert run_cache_stats().kinds["trace"].hits == 1
+        assert second == first
+
     def test_disabled_store_is_never_created(self, cache_dir, monkeypatch):
         # Seeds no other test memoizes: both traces are really built.
         runner.get_trace(WORKLOAD, scale="tiny", seed=11, use_cache=False)
@@ -527,7 +615,7 @@ class TestTraceStore:
         # Forget the result so the point needs its trace again.
         clear_run_cache()
         diskcache.get_cache().path_for(
-            cache_key(WORKLOAD, None, scale="tiny")).unlink()
+            SweepPoint(WORKLOAD, None, scale="tiny").key()).unlink()
         workload_cache.clear_caches()
         reset_run_cache_stats()
 
@@ -618,10 +706,9 @@ class TestPassStore:
 def _kind_key(kind):
     """The key under which the FDIP tiny baseline looks up ``kind``."""
     if kind == "result":
-        return cache_key(WORKLOAD, None, scale="tiny")
+        return SweepPoint(WORKLOAD, None, scale="tiny").key()
     if kind == "warmup":
-        return runner._warmup_key(WORKLOAD, "tiny", None, None, None,
-                                  DEFAULT_WARMUP, 1)
+        return SweepPoint(WORKLOAD, scale="tiny").warmup_key()
     if kind == "trace":
         return trace_key(WORKLOAD, "tiny", 1)
     return runner.pass_key(WORKLOAD, "tiny", 1,
@@ -713,8 +800,7 @@ print(json.dumps({
     "package": repro.__file__,
     "code": runner.code_hash(),
     "result": point.key(),
-    "warmup": runner._warmup_key("mysql_sibench", "tiny", "eip", None,
-                                 None, point.warmup, 1),
+    "warmup": point.warmup_key(),
     "trace": runner.trace_key("mysql_sibench", "tiny", 1),
     "grid": grid_fingerprint([point]),
     "served": runner.peek_cached(point.key()) is not None,
@@ -742,8 +828,7 @@ class TestStaleCode:
         old = {
             "code": runner.code_hash(),
             "result": point.key(),
-            "warmup": runner._warmup_key(WORKLOAD, "tiny", "eip", None,
-                                         None, point.warmup, 1),
+            "warmup": point.warmup_key(),
             "trace": trace_key(WORKLOAD, "tiny", 1),
             "grid": grid_fingerprint([point]),
         }

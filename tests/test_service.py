@@ -14,7 +14,6 @@ Contracts under test:
 """
 
 import hashlib
-import importlib
 
 import pytest
 
@@ -32,8 +31,6 @@ from repro.experiments.service import (
     summarize_events,
 )
 from repro.experiments.sweep import SweepPoint, sweep
-
-sweep_mod = importlib.import_module("repro.experiments.sweep")
 
 WORKLOAD = "mysql_sibench"
 
@@ -328,7 +325,7 @@ class TestEvents:
 # retry engine, cache layers, and event stream are all real — only the
 # simulation itself is synthesized, deterministically per point key)
 # ----------------------------------------------------------------------
-def _fake_run_serial(point, use_cache):
+def _fake_simulate(point, use_cache):
     digest = hashlib.sha256(point.key().encode("utf-8")).hexdigest()
     stats = SimStats()
     stats.instructions = int(digest[:12], 16)
@@ -338,7 +335,7 @@ def _fake_run_serial(point, use_cache):
         runner.seed_cache(point.key(), stats, None)
         diskcache.get_cache().save(point.key(), stats=stats.state_dict(),
                                    miss_map=None)
-    return stats, None, "sim", 0.001
+    return stats, None
 
 
 def _acceptance_manifest():
@@ -357,7 +354,7 @@ def _acceptance_manifest():
 class TestAcceptanceScale:
     def test_thousand_point_manifest_through_the_service(
             self, cache_dir, tmp_path, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_run_serial", _fake_run_serial)
+        monkeypatch.setattr(runner, "simulate_point", _fake_simulate)
         manifest = _acceptance_manifest()
         points = manifest.expand()
         assert len(points) == 1200
