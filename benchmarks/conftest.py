@@ -39,13 +39,14 @@ def _sim_cache(scale):
     """
     jobs = int(os.environ.get("REPRO_JOBS", "1"))
     if jobs > 1:
+        from repro.experiments.events import ProgressLines
         from repro.experiments.sweep import DEFAULT_PREFETCHERS, grid, sweep
         from repro.workloads.suite import WORKLOAD_NAMES
 
         points = grid(WORKLOAD_NAMES, DEFAULT_PREFETCHERS, scale=scale)
         points += grid(WORKLOAD_NAMES, (), scale=scale,
                        overrides={"hierarchy.perfect_l1i": True})
-        sweep(points, jobs=jobs)
+        sweep(points, jobs=jobs, events=ProgressLines())
     yield
 
 

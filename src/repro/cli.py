@@ -59,7 +59,7 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
 
 
 def _get_trace(args):
-    from repro.workloads.cache import get_trace
+    from repro.experiments.runner import get_trace
 
     return get_trace(args.workload, scale=args.scale, seed=args.seed)
 
@@ -176,7 +176,7 @@ def cmd_sweep(args) -> int:
         SweepManifest,
         load_manifest,
     )
-    from repro.experiments.service import JsonlEventLog
+    from repro.experiments.events import JsonlEventLog, ProgressLines
 
     if args.point_timeout is not None and args.jobs < 2:
         print("--point-timeout needs --jobs >= 2: with --jobs 1 points "
@@ -223,7 +223,7 @@ def cmd_sweep(args) -> int:
     log = JsonlEventLog(args.events) if args.events else None
     try:
         report, journal = run_sweep(
-            points, events=log, progress=print,
+            points, events=[ProgressLines(), log],
             resume=args.resume is not None,
             run_id=args.resume or None,
             run_root=Path(args.run_dir) if args.run_dir else None,
@@ -564,7 +564,7 @@ def cmd_manifest(args) -> int:
     from pathlib import Path
 
     from repro.experiments.journal import read_run_events
-    from repro.experiments.service import (
+    from repro.experiments.events import (
         follow_events,
         format_events_summary,
         read_events,

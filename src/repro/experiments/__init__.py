@@ -24,10 +24,7 @@ from repro.experiments.errors import (
     ExperimentError,
     PointFailure,
     JournalError,
-    PointTimeoutError,
     SweepInterrupted,
-    TransientError,
-    WorkerCrashError,
 )
 from repro.experiments.faults import Fault, FaultPlan
 from repro.experiments.manifest import (
@@ -59,8 +56,9 @@ from repro.experiments.journal import (
     read_run_events,
     run_sweep,
 )
-from repro.experiments.service import (
+from repro.experiments.events import (
     JsonlEventLog,
+    ProgressLines,
     ShutdownRequest,
     follow_events,
     read_events,
@@ -84,9 +82,6 @@ __all__ = [
     "compare_all",
     "clear_run_cache",
     "ExperimentError",
-    "TransientError",
-    "WorkerCrashError",
-    "PointTimeoutError",
     "SweepInterrupted",
     "PointFailure",
     "Fault",
@@ -102,6 +97,7 @@ __all__ = [
     "load_manifest",
     "parse_manifest",
     "JsonlEventLog",
+    "ProgressLines",
     "ShutdownRequest",
     "read_events",
     "follow_events",

@@ -6,14 +6,6 @@ be handled.  The hierarchy encodes the policy:
 
 ``ExperimentError``
     Root of everything the resilience layer knows how to handle.
-``TransientError``
-    Plausibly succeeds on a retry (a crashed or hung worker, an
-    injected flaky fault).  The sweep engine retries these with
-    exponential backoff up to ``max_retries``.
-``WorkerCrashError`` / ``PointTimeoutError``
-    The two concrete transient cases: a worker process that died
-    (nonzero exit code / signal) and one that exceeded
-    ``point_timeout`` and was terminated.
 ``JournalError``
     A run journal could not be created, found, replayed, or appended
     to.  A failed append stops the sweep: the journal is the durable
@@ -32,8 +24,12 @@ be handled.  The hierarchy encodes the policy:
     checks it).
 ``PointFailure``
     The terminal record for one sweep point that could not be
-    completed after retries.  Collected into
-    :class:`repro.experiments.sweep.SweepReport` under
+    completed after retries.  Its ``kind`` (:data:`FAILURE_KINDS`)
+    encodes the policy: ``crash`` (a worker died), ``timeout`` (a
+    worker outlived ``point_timeout``) and ``transient`` (an injected
+    flaky fault) were retried with backoff up to ``max_retries``;
+    ``error`` (an exception from the deterministic simulation) was not.
+    Collected into :class:`repro.experiments.sweep.SweepReport` under
     ``keep_going=True``, raised under the default fail-fast policy.
 
 Retry pacing is deterministic: :func:`backoff_delay` derives its jitter
@@ -49,9 +45,6 @@ from typing import Optional
 
 __all__ = [
     "ExperimentError",
-    "TransientError",
-    "WorkerCrashError",
-    "PointTimeoutError",
     "JournalError",
     "SweepInterrupted",
     "PointFailure",
@@ -64,31 +57,6 @@ __all__ = [
 
 class ExperimentError(Exception):
     """Base class for structured experiment-stack failures."""
-
-
-class TransientError(ExperimentError):
-    """A failure that may succeed on retry (the sweep engine's cue to
-    re-enqueue the point with backoff instead of recording a
-    :class:`PointFailure`)."""
-
-
-class WorkerCrashError(TransientError):
-    """A sweep worker process died without delivering a result."""
-
-    def __init__(self, message: str, exitcode: Optional[int] = None):
-        super().__init__(message)
-        #: Exit code of the dead worker (negative = killed by signal),
-        #: or None when the crash was injected/simulated in-process.
-        self.exitcode = exitcode
-
-
-class PointTimeoutError(TransientError):
-    """A point exceeded ``point_timeout`` and its worker was
-    terminated."""
-
-    def __init__(self, message: str, timeout: Optional[float] = None):
-        super().__init__(message)
-        self.timeout = timeout
 
 
 class JournalError(ExperimentError):
@@ -142,7 +110,8 @@ class FaultPlanError(ExperimentError, ValueError):
     validation."""
 
 
-#: Failure kinds recorded on :class:`PointFailure`.
+#: Failure kinds recorded on :class:`PointFailure`; the sweep engine
+#: retries every kind but ``error``.
 FAILURE_KINDS = ("crash", "timeout", "transient", "error")
 
 
@@ -167,19 +136,6 @@ class PointFailure(ExperimentError):
         self.kind = kind
         self.message = message
         self.attempts = attempts
-
-    @classmethod
-    def from_error(cls, label: str, index: int, error: BaseException,
-                   attempts: int) -> "PointFailure":
-        if isinstance(error, WorkerCrashError):
-            kind = "crash"
-        elif isinstance(error, PointTimeoutError):
-            kind = "timeout"
-        elif isinstance(error, TransientError):
-            kind = "transient"
-        else:
-            kind = "error"
-        return cls(label, index, kind, str(error), attempts)
 
 
 def backoff_delay(attempt: int, base: float, token: str,

@@ -12,16 +12,15 @@ Fault kinds
 
 ``crash``
     Worker process exits hard (``os._exit``) before producing a
-    result; in in-process sweeps (``jobs=1``) it maps to a
-    :class:`~repro.experiments.errors.WorkerCrashError` instead.
+    result; in in-process sweeps (``jobs=1``) it maps to a ``crash``
+    outcome instead.
 ``hang``
     Worker sleeps ``seconds`` before running the point, tripping the
     sweep's ``point_timeout``; in in-process sweeps (where no
-    supervisor can terminate the point) it is mapped directly to
-    :class:`~repro.experiments.errors.PointTimeoutError`.
+    supervisor can terminate the point) it is mapped directly to a
+    ``timeout`` outcome.
 ``error``
-    Raises a plain :class:`~repro.experiments.errors.TransientError`
-    (the generic flaky-then-succeeds case).
+    A ``transient`` outcome (the generic flaky-then-succeeds case).
 ``truncate`` / ``bitflip``
     After the point completes and persists its result, its on-disk
     cache entry is truncated / has one byte flipped — exercising the

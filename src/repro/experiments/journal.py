@@ -52,7 +52,6 @@ surfaces the duplicate so the accounting is honest.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -63,17 +62,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.experiments import diskcache, runner
 from repro.experiments.errors import JournalError, PointFailure
 from repro.experiments.faults import FaultPlan, corrupt_file
-from repro.experiments.service import (
+from repro.experiments.events import (
     JsonlEventLog,
     ShutdownRequest,
     read_events,
 )
 from repro.experiments.sweep import (
-    ProgressFn,
     SweepPoint,
     SweepReport,
     SweepResult,
-    _default_progress,
     sweep,
 )
 
@@ -145,42 +142,22 @@ def _write_meta(run_dir: Path, meta: dict) -> None:
     # lint: ordered-end
 
 
-def _dedup_segment(events: List[dict]) -> List[dict]:
-    """Drop records whose ``seq`` does not advance within one segment
-    (a writer that re-appended after a partial failure)."""
-    out: List[dict] = []
-    last = 0
-    for event in events:
-        seq = event.get("seq")
-        if isinstance(seq, int):
-            if seq <= last:
-                continue
-            last = seq
-        out.append(event)
-    return out
-
-
 def read_run_events(run_dir: Union[str, Path]) -> List[dict]:
-    """The joined, seq-deduplicated event stream of every segment in
-    ``run_dir``, in segment order — what ``repro manifest events`` and
-    resume replay consume."""
-    run_dir = Path(run_dir)
+    """The joined event stream of every segment in ``run_dir``, in
+    segment order — what ``repro manifest events`` and resume replay
+    consume.  Records whose ``seq`` does not advance within a segment
+    (a writer that re-appended after a partial failure) are dropped."""
     events: List[dict] = []
-    for segment in sorted(run_dir.glob(_SEGMENT_GLOB)):
-        events.extend(_dedup_segment(read_events(segment)))
+    for segment in sorted(Path(run_dir).glob(_SEGMENT_GLOB)):
+        last = 0
+        for event in read_events(segment):
+            seq = event.get("seq")
+            if isinstance(seq, int):
+                if seq <= last:
+                    continue
+                last = seq
+            events.append(event)
     return events
-
-
-@dataclasses.dataclass
-class ReplayState:
-    """What a journal replay recovered about a previous run attempt."""
-
-    #: index → the ``completed`` event from an earlier segment.
-    completed: Dict[int, dict]
-    #: index → the ``failed`` event (terminal, retries exhausted).
-    failed: Dict[int, dict]
-    #: Segments already on disk (= prior run attempts).
-    segments: int
 
 
 class RunJournal:
@@ -298,30 +275,27 @@ class RunJournal:
             segment if segment is not None else self.segment)
 
     # -- replay --------------------------------------------------------
-    def replay(self) -> ReplayState:
-        """Recover terminal outcomes from every segment *before* the
-        one this journal writes."""
+    def replay(self) -> Tuple[Dict[int, dict], Dict[int, dict]]:
+        """The ``completed`` and ``failed`` records, by point index, of
+        every segment *before* the one this journal writes (a later
+        completion clears an earlier failure)."""
         completed: Dict[int, dict] = {}
         failed: Dict[int, dict] = {}
-        segments = 0
-        for segment in sorted(self.run_dir.glob(_SEGMENT_GLOB)):
-            segments += 1
-            for event in _dedup_segment(read_events(segment)):
-                kind = event.get("event")
-                if kind == "completed":
-                    completed[event["index"]] = event
-                    failed.pop(event["index"], None)
-                elif kind == "failed":
-                    failed[event["index"]] = event
-        return ReplayState(completed=completed, failed=failed,
-                           segments=segments)
+        for event in read_run_events(self.run_dir):
+            kind = event.get("event")
+            if kind == "completed":
+                completed[event["index"]] = event
+                failed.pop(event["index"], None)
+            elif kind == "failed":
+                failed[event["index"]] = event
+        return completed, failed
 
     # -- the event sink ------------------------------------------------
     @property
     def sink(self) -> JsonlEventLog:
         """The durable (fsync-per-line) sink for this segment: an
         append failure stops the sweep (see
-        :class:`~repro.experiments.service._Emitter`)."""
+        :class:`~repro.experiments.events._Emitter`)."""
         if self._sink is None:
             self._sink = JsonlEventLog(self.segment_path(), fsync=True)
         return self._sink
@@ -355,7 +329,6 @@ def _failure_from_event(points: Sequence[SweepPoint],
 def run_sweep(
     points: Sequence[SweepPoint],
     events: Union[None, object, Sequence[object]] = None,
-    progress: Optional[ProgressFn] = _default_progress,
     fault_plan: Optional[FaultPlan] = None,
     resume: bool = False,
     run_id: Optional[str] = None,
@@ -399,8 +372,8 @@ def run_sweep(
                 "holds their results")
         journal = RunJournal.resume(points, run_id=run_id,
                                     root=run_root)
-        replayed = journal.replay()
-        for index, event in sorted(replayed.completed.items()):
+        completed, failed = journal.replay()
+        for index in sorted(completed):
             hit = runner.peek_cached(points[index].key())
             if hit is None:
                 # Entry lost/quarantined since the journal recorded it:
@@ -409,7 +382,7 @@ def run_sweep(
             stats, miss_map, source = hit
             preresolved[index] = SweepResult(
                 points[index], stats, miss_map, 0.0, source)
-        for index, event in sorted(replayed.failed.items()):
+        for index, event in sorted(failed.items()):
             poisoned[index] = _failure_from_event(points, event)
         journal.replay_preresolved = len(preresolved)
         journal.replay_poisoned = len(poisoned)
@@ -417,17 +390,13 @@ def run_sweep(
         journal = RunJournal.create(points, policy, root=run_root,
                                     extra_meta=extra_meta)
 
-    sinks: List[object] = [journal.sink]
-    if events is not None:
-        if callable(events):
-            sinks.append(events)
-        else:
-            sinks.extend(events)
+    sinks = [journal.sink,
+             *([events] if callable(events) else events or ())]
 
     run_info = {"run_id": journal.run_id, "segment": journal.segment}
     try:
         report = sweep(
-            points, events=sinks, progress=progress,
+            points, events=sinks,
             fault_plan=fault_plan, preresolved=preresolved,
             poisoned=poisoned, shutdown=shutdown,
             handle_signals=handle_signals, run_info=run_info, **policy)

@@ -3,10 +3,9 @@
 A manifest describes a full (workloads × prefetchers × policies ×
 scales × seeds × config-overrides) cross-product — optionally thinned
 by a seeded sampler — in a TOML or JSON file, so the same grid
-definition drives a local ``repro sweep --manifest``, the CI smoke and
-chaos jobs, and a :mod:`repro.experiments.service` fleet, instead of
-being re-spelled as ad-hoc Python (or YAML-embedded shell) at every
-call site.
+definition drives a local ``repro sweep --manifest`` and the CI smoke
+and chaos jobs, instead of being re-spelled as ad-hoc Python (or
+YAML-embedded shell) at every call site.
 
 Schema (TOML form; the JSON form is the same structure)::
 

@@ -30,9 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import geomean
 from repro.experiments.runner import REPRESENTATIVE_WORKLOADS
-from repro.experiments.sweep import SweepPoint, SweepResult, sweep
+from repro.experiments.sweep import SweepResult, grid, sweep
 from repro.memory.policies import POLICY_NAMES
-from repro.prefetchers.registry import prefetcher_policy_grid
+from repro.prefetchers import PREFETCHER_NAMES
 
 #: The cross-product's default prefetcher axis: the FDIP baseline, a
 #: representative table-based prefetcher, and the paper's HP.
@@ -76,27 +76,30 @@ def policy_sweep(
     scale: str = "bench",
     jobs: int = 1,
     use_cache: bool = True,
-    progress=None,
     itlb_prefetch: bool = False,
     **common,
 ) -> Dict[str, Dict[Tuple[str, str], SweepResult]]:
     """Run the cross-product; returns
     ``{workload: {(prefetcher, policy): SweepResult}}``.
 
-    ``"fdip"`` names the baseline (no evaluated prefetcher) — unlike
-    :func:`repro.experiments.sweep.grid` it is an explicit axis value
-    here, because the baseline changes per policy too.
+    ``"fdip"`` names the baseline (no evaluated prefetcher): the FDIP
+    points are in the grid only when ``prefetchers`` lists it, because
+    the baseline changes per policy too.  An unknown prefetcher or
+    policy name raises ``ValueError`` before any point is scheduled.
     """
-    pairs = prefetcher_policy_grid(prefetchers, policies)
+    unknown = ([f"prefetcher {n!r}" for n in prefetchers
+                if n not in PREFETCHER_NAMES]
+               + [f"replacement policy {n!r}" for n in policies
+                  if n not in POLICY_NAMES])
+    if unknown:
+        raise ValueError(f"unknown {', '.join(unknown)}")
     points = []
-    for w in workloads:
-        for pf, pol in pairs:
-            points.append(SweepPoint(
-                w, None if pf == "fdip" else pf, scale=scale,
-                overrides=policy_overrides(pol, itlb_prefetch), **common,
-            ))
-    report = sweep(points, jobs=jobs, use_cache=use_cache,
-                   progress=progress)
+    for policy in policies:
+        points += grid(workloads, prefetchers,
+                       include_baseline="fdip" in prefetchers, scale=scale,
+                       overrides=policy_overrides(policy, itlb_prefetch),
+                       **common)
+    report = sweep(points, jobs=jobs, use_cache=use_cache)
     out: Dict[str, Dict[Tuple[str, str], SweepResult]] = {}
     for result in report:
         point = result.point
@@ -197,15 +200,13 @@ def fig21_itlb_prefetch(
     prefetched translations cover demand walks); ``pf_installs`` and
     ``pf_hits`` report the path's traffic and usefulness.
     """
-    pf_name = None if prefetcher in (None, "fdip") else prefetcher
     points = []
     for enabled in (False, True):
-        for w in workloads:
-            points.append(SweepPoint(
-                w, pf_name, scale=scale,
-                overrides=policy_overrides(policy, enabled), **common,
-            ))
-    report = sweep(points, jobs=jobs, use_cache=use_cache, progress=None)
+        points += grid(workloads, (prefetcher,),
+                       include_baseline=prefetcher in (None, "fdip"),
+                       scale=scale,
+                       overrides=policy_overrides(policy, enabled), **common)
+    report = sweep(points, jobs=jobs, use_cache=use_cache)
     by_key = {(r.point.workload,
                r.point.overrides["core.itlb_prefetch"]): r
               for r in report}

@@ -422,7 +422,7 @@ def compare_all(
         from repro.experiments.sweep import grid, sweep
 
         sweep(grid([workload], prefetchers, scale=scale,
-                   overrides=overrides), jobs=jobs, progress=None)
+                   overrides=overrides), jobs=jobs)
     baseline, _ = run_baseline(workload, scale=scale, overrides=overrides)
     out: Dict[str, PrefetchReport] = {}
     for name in prefetchers:

@@ -58,15 +58,13 @@ def slo_sweep(
     scale: str = "bench",
     jobs: int = 1,
     use_cache: bool = True,
-    progress=None,
     **common,
 ) -> Dict[str, Dict[str, SweepResult]]:
     """Run the microservice grid (FDIP baseline included) and return
     ``{workload: {prefetcher_or_'fdip': SweepResult}}``."""
     points = grid(workloads, prefetchers, include_baseline=True,
                   scale=scale, **common)
-    report = sweep(points, jobs=jobs, use_cache=use_cache,
-                   progress=progress)
+    report = sweep(points, jobs=jobs, use_cache=use_cache)
     out: Dict[str, Dict[str, SweepResult]] = {}
     for result in report:
         name = result.point.prefetcher or "fdip"

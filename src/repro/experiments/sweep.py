@@ -27,25 +27,26 @@ Guarantees:
   different traces and later points load them from the trace store
   (:func:`repro.experiments.runner.get_trace`).
 * **Isolation** — with ``jobs >= 2`` every attempt runs in a fresh
-  worker process supervised by the parent: a crashed worker
-  (:class:`~repro.experiments.errors.WorkerCrashError`) or one
-  exceeding ``point_timeout``
-  (:class:`~repro.experiments.errors.PointTimeoutError`) costs that
-  point one attempt, never the grid.  With ``jobs == 1`` nothing can
-  kill a running point: ``point_timeout`` is not enforced and injected
-  crashes and hangs map straight to those errors.  Transient failures
-  are retried up to ``max_retries`` times with exponential backoff and
-  deterministic jitter (:func:`repro.experiments.errors.backoff_delay`).
+  worker process supervised by the parent: a crashed worker (kind
+  ``crash``) or one exceeding ``point_timeout`` (kind ``timeout``)
+  costs that point one attempt, never the grid.  With ``jobs == 1``
+  nothing can kill a running point: ``point_timeout`` is not enforced
+  and injected crashes and hangs map straight to those kinds.  Crashes,
+  timeouts and transient faults are retried up to ``max_retries`` times
+  with exponential backoff and deterministic jitter
+  (:func:`repro.experiments.errors.backoff_delay`).
 * **Partial results** — :func:`sweep` returns a :class:`SweepReport`.
   Under ``keep_going=True`` every completed point survives alongside a
   :class:`~repro.experiments.errors.PointFailure` record per dead one;
   under the default fail-fast policy the first terminal failure is
   raised (after all attempts) and in-flight workers are reaped.
-* **Observability** — one progress line per resolved point
-  (``[ 3/12] beego/mana  sim  1.82s``; ``progress=None`` silences
-  them) and, with ``events=``, the JSONL event stream of
-  :mod:`repro.experiments.service`.
-* **Graceful shutdown** — a :class:`~repro.experiments.service.
+* **Observability** — with ``events=``, the event stream of
+  :mod:`repro.experiments.events`: one record per scheduling decision,
+  the only record of each point's outcome.  Its
+  :class:`~repro.experiments.events.ProgressLines` sink prints one
+  console line per resolved point (``[ 3/12] beego/mana  sim  1.82s``);
+  without sinks a sweep prints nothing.
+* **Graceful shutdown** — a :class:`~repro.experiments.events.
   ShutdownRequest` (or, with ``handle_signals=True``, SIGINT/SIGTERM)
   drains the loop: in-flight workers are reaped, completed points are
   kept, the stream gets ``end{status=interrupted}``, and
@@ -65,24 +66,20 @@ import dataclasses
 import multiprocessing
 import os
 import signal
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu.stats import SimStats
 from repro.experiments import faults as faults_mod
 from repro.experiments import runner
 from repro.experiments.errors import (
     PointFailure,
-    PointTimeoutError,
     SweepInterrupted,
-    TransientError,
-    WorkerCrashError,
     backoff_delay,
 )
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import SweepPoint
-from repro.experiments.service import EventSink, ShutdownRequest, _Emitter
+from repro.experiments.events import EventSink, ShutdownRequest, _Emitter
 from repro.prefetchers import PAPER_PREFETCHERS as DEFAULT_PREFETCHERS
 
 #: Retries per point after the first attempt (crash/hang/transient
@@ -94,6 +91,10 @@ DEFAULT_BACKOFF = 0.25
 
 #: Parent-side poll period while supervising workers.
 _POLL_SECONDS = 0.01
+
+#: Failure kinds that cost an attempt, not the point: a retry may pass.
+#: ``error`` (an exception from the deterministic simulation) is final.
+_RETRIED_KINDS = ("crash", "timeout", "transient")
 
 
 @dataclasses.dataclass
@@ -137,13 +138,6 @@ class SweepReport:
         return self
 
 
-ProgressFn = Callable[[str], None]
-
-
-def _default_progress(line: str) -> None:
-    print(line, file=sys.stderr, flush=True)
-
-
 def grid(
     workloads: Sequence[str],
     prefetchers: Sequence[Optional[str]] = DEFAULT_PREFETCHERS,
@@ -174,24 +168,24 @@ def _execute(point: SweepPoint, index: int, attempt: int, use_cache: bool,
              plan: Optional[FaultPlan], in_process: bool) -> Tuple:
     """Run one attempt of one point and return its outcome tuple.
 
-    Outcomes: ``("ok", state_dict, miss_map, elapsed)``,
-    ``("transient", message)`` for injected flaky faults, or
-    ``("error", message)`` for a real (deterministic, non-retryable)
-    exception from the simulation.  In a worker process an injected
-    crash exits hard and an injected hang sleeps first, relying on the
-    parent's ``point_timeout`` supervision; in-process, where nothing
-    supervises the point, they return ``("crash", None)`` and
-    ``("timeout", None)`` instead.
+    Outcomes: ``("ok", state_dict, miss_map, elapsed)``, or a failure
+    ``(kind, message)``: ``("transient", ...)`` for injected flaky
+    faults, ``("error", ...)`` for a real (deterministic,
+    non-retryable) exception from the simulation.  In a worker process
+    an injected crash exits hard and an injected hang sleeps first,
+    relying on the parent's ``point_timeout`` supervision; in-process,
+    where nothing supervises the point, they return ``("crash", ...)``
+    and ``("timeout", ...)`` instead.
     """
     fault = plan.exec_fault(index, point.label, attempt) if plan else None
     if fault is not None:
         if fault.kind == faults_mod.CRASH:
             if in_process:
-                return ("crash", None)
+                return ("crash", f"injected crash at {point.label}")
             os._exit(faults_mod.CRASH_EXIT_CODE)
         if fault.kind == faults_mod.HANG:
             if in_process:
-                return ("timeout", None)
+                return ("timeout", f"injected hang at {point.label}")
             time.sleep(fault.seconds)
         else:
             return ("transient",
@@ -230,6 +224,7 @@ class _Live:
     proc: multiprocessing.Process
     conn: object
     index: int
+    label: str
     attempt: int
     started: float
 
@@ -244,7 +239,8 @@ def _spawn(ctx, point: SweepPoint, index: int, attempt: int,
     )
     proc.start()
     send_conn.close()
-    return _Live(proc, recv_conn, index, attempt, time.monotonic())
+    return _Live(proc, recv_conn, index, point.label, attempt,
+                 time.monotonic())
 
 
 def _reap(live: _Live,
@@ -252,8 +248,8 @@ def _reap(live: _Live,
     """Poll one worker; returns its outcome tuple or None if still
     running.
 
-    Outcomes: the worker's own message, or parent-detected
-    ``("crash", exitcode)`` / ``("timeout", seconds)``.
+    Outcomes: the worker's own :func:`_execute` outcome, or a
+    parent-detected ``("crash", message)`` / ``("timeout", message)``.
     """
     # Liveness *before* the pipe check closes the exit race: once the
     # process is observably dead, anything it sent is already buffered.
@@ -265,13 +261,11 @@ def _reap(live: _Live,
             message = None
         live.proc.join()
         live.conn.close()
-        if message is None:
-            return ("crash", live.proc.exitcode)
-        return message
+        return message if message is not None else _crashed(live)
     if not alive:
         live.proc.join()
         live.conn.close()
-        return ("crash", live.proc.exitcode)
+        return _crashed(live)
     if point_timeout is not None and \
             time.monotonic() - live.started > point_timeout:
         live.proc.terminate()
@@ -280,8 +274,14 @@ def _reap(live: _Live,
             live.proc.kill()
             live.proc.join()
         live.conn.close()
-        return ("timeout", point_timeout)
+        return ("timeout", f"{live.label} exceeded point timeout "
+                           f"({point_timeout:.1f}s)")
     return None
+
+
+def _crashed(live: _Live) -> Tuple[str, str]:
+    return ("crash", f"worker for {live.label} died "
+                     f"(exit code {live.proc.exitcode})")
 
 
 def _reap_all(live: List[_Live]) -> None:
@@ -300,26 +300,6 @@ def _reap_all(live: List[_Live]) -> None:
             pass
 
 
-def _outcome_error(outcome: Tuple, label: str) -> Exception:
-    """Map a non-ok outcome to its taxonomy error."""
-    kind, detail = outcome[0], outcome[1]
-    if kind == "crash":
-        return WorkerCrashError(
-            f"worker for {label} died (exit code {detail})"
-            if detail is not None else f"injected crash at {label}",
-            exitcode=detail,
-        )
-    if kind == "timeout":
-        return PointTimeoutError(
-            f"{label} exceeded point timeout ({detail:.1f}s)"
-            if detail is not None else f"injected hang at {label}",
-            timeout=detail,
-        )
-    if kind == "transient":
-        return TransientError(detail)
-    return RuntimeError(detail)
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
@@ -327,16 +307,13 @@ class _Supervisor:
     """One sweep's bookkeeping: results, failures, the retry queue and
     the event stream."""
 
-    def __init__(self, points: List[SweepPoint],
-                 progress: Optional[ProgressFn], keep_going: bool,
+    def __init__(self, points: List[SweepPoint], keep_going: bool,
                  emit: _Emitter, plan: Optional[FaultPlan],
                  max_retries: int, backoff_base: float,
                  use_cache: bool, in_process: bool):
         self.points = points
-        self.total = len(points)
-        self.results: List[Optional[SweepResult]] = [None] * self.total
+        self.results: List[Optional[SweepResult]] = [None] * len(points)
         self.failures: Dict[int, PointFailure] = {}
-        self.progress = progress
         self.keep_going = keep_going
         self.emit = emit
         self.plan = plan
@@ -352,25 +329,10 @@ class _Supervisor:
         #: Terminal outcomes resolved by the loop (parent-signal
         #: faults key off this count).
         self.resolved = 0
-        self.done = 0
 
-    def _line(self, label: str, tail: str) -> None:
-        self.done += 1
-        if self.progress is not None:
-            width = len(str(self.total))
-            self.progress(
-                f"[{self.done:>{width}}/{self.total}] {label:<28s} {tail}"
-            )
-
-    def complete(self, index: int, result: SweepResult) -> None:
-        self.results[index] = result
-        self._line(result.point.label,
-                   f"{result.source:<6s} {result.seconds:6.2f}s")
-
-    def fail(self, index: int, failure: PointFailure, tail: str) -> None:
+    def fail(self, failure: PointFailure) -> None:
         """Record a terminal failure; raises under fail-fast."""
-        self.failures[index] = failure
-        self._line(failure.label, tail)
+        self.failures[failure.index] = failure
         if not self.keep_going:
             raise failure
 
@@ -401,27 +363,22 @@ class _Supervisor:
                       attempt=attempt, shard=0, source="sim",
                       seconds=round(elapsed, 4))
             self._terminal()
-            self.complete(index, SweepResult(
-                point, stats, miss_map, elapsed, "sim"))
+            self.results[index] = SweepResult(
+                point, stats, miss_map, elapsed, "sim")
             return
-        error = _outcome_error(outcome, point.label)
-        if isinstance(error, TransientError) \
-                and attempt <= self.max_retries:
+        kind, message = outcome
+        if kind in _RETRIED_KINDS and attempt <= self.max_retries:
             delay = backoff_delay(attempt, self.backoff_base, point.key())
             self.waiting.append((time.monotonic() + delay,
                                  self.rank[index], index, attempt + 1))
             self.emit("retried", index=index, label=point.label,
-                      attempt=attempt, shard=0, kind=outcome[0],
+                      attempt=attempt, shard=0, kind=kind,
                       next_attempt=attempt + 1, delay=round(delay, 4))
             return
-        failure = PointFailure.from_error(point.label, index, error,
-                                          attempt)
         self.emit("failed", index=index, label=point.label,
-                  attempts=attempt, shard=0, kind=failure.kind,
-                  message=str(error))
+                  attempts=attempt, shard=0, kind=kind, message=message)
         self._terminal()
-        self.fail(index, failure,
-                  f"FAIL   ({failure.kind} after {attempt} attempts)")
+        self.fail(PointFailure(point.label, index, kind, message, attempt))
 
     def run(self, pending: Sequence[int], jobs: int,
             point_timeout: Optional[float],
@@ -508,7 +465,6 @@ def sweep(
     points: Sequence[SweepPoint],
     jobs: int = 1,
     use_cache: bool = True,
-    progress: Optional[ProgressFn] = _default_progress,
     max_retries: int = DEFAULT_MAX_RETRIES,
     point_timeout: Optional[float] = None,
     keep_going: bool = False,
@@ -548,8 +504,9 @@ def sweep(
     failures for testing — see :mod:`repro.experiments.faults`.
 
     ``events`` takes one sink or several (see
-    :mod:`repro.experiments.service`); ``run_info`` fields are merged
-    into the ``begin`` record.  The resume hooks of
+    :mod:`repro.experiments.events`; its ``ProgressLines`` prints the
+    console lines); ``run_info`` fields are merged into the ``begin``
+    record.  The resume hooks of
     :func:`repro.experiments.journal.run_sweep`: ``preresolved`` maps
     point index → a recovered :class:`SweepResult` whose terminal
     record lives in an earlier journal segment — it enters the report
@@ -571,7 +528,7 @@ def sweep(
         shutdown = ShutdownRequest()
     in_process = jobs <= 1
     emit = _Emitter(events)
-    sup = _Supervisor(points, progress, keep_going, emit, fault_plan,
+    sup = _Supervisor(points, keep_going, emit, fault_plan,
                       max_retries, backoff_base, use_cache, in_process)
     preresolved = dict(preresolved or {})
     poisoned = dict(poisoned or {})
@@ -595,13 +552,13 @@ def sweep(
     emit("begin", total=len(points), cached=len(cached),
          preresolved=len(preresolved), poisoned=len(poisoned),
          shards=1, jobs=jobs, inline=in_process, **run_info)
-    for index in sorted(preresolved):
-        sup.complete(index, preresolved[index])
+    for index, result in preresolved.items():
+        sup.results[index] = result
     for index, result in cached:
         emit("completed", index=index, label=result.point.label,
              attempt=0, shard=None, source=result.source,
              seconds=round(result.seconds, 4))
-        sup.complete(index, result)
+        sup.results[index] = result
 
     started = time.monotonic()
     previous = _install_signal_handlers(shutdown) if handle_signals else {}
@@ -612,9 +569,7 @@ def sweep(
             emit("poisoned", index=index, label=failure.label,
                  kind=failure.kind, attempts=failure.attempts,
                  message=failure.message)
-            sup.fail(index, failure,
-                     f"FAIL   ({failure.kind}, poisoned — quarantined "
-                     "by run journal)")
+            sup.fail(failure)
         if pending:
             sup.run(pending, 1 if in_process else min(jobs, len(pending)),
                     point_timeout, shutdown)
@@ -636,11 +591,13 @@ def sweep(
              seconds=round(time.monotonic() - started, 4))
     if interrupted:
         signum = shutdown.signum
+        report = sup.report()
+        resolved = len(report.results) + len(report.failures)
         raise SweepInterrupted(
             "sweep interrupted"
             + (f" by signal {signum}" if signum else "")
-            + f" with {sup.done} of {len(points)} points resolved",
-            report=sup.report(), signum=signum,
+            + f" with {resolved} of {len(points)} points resolved",
+            report=report, signum=signum,
             run_id=run_info.get("run_id"))
     return sup.report()
 

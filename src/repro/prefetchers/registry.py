@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
-from repro.memory.policies import POLICY_NAMES
 from repro.prefetchers.base import InstructionPrefetcher
 from repro.prefetchers.efetch import EFetchPrefetcher
 from repro.prefetchers.eip import EIPPrefetcher
@@ -76,30 +75,3 @@ def make_prefetcher(name: str, **kwargs) -> Optional[InstructionPrefetcher]:
     raise ValueError(
         f"unknown prefetcher {name!r}; expected one of {PREFETCHER_NAMES}"
     )
-
-
-def prefetcher_policy_grid(
-    prefetchers: Optional[Sequence[str]] = None,
-    policies: Optional[Sequence[str]] = None,
-) -> List[Tuple[str, str]]:
-    """The prefetcher × replacement-policy cross-product.
-
-    Returns ``(prefetcher, policy)`` pairs in row-major order (policy
-    varies fastest), validating both axes so sweep code fails before
-    any simulation is scheduled.
-    """
-    prefetchers = tuple(prefetchers) if prefetchers else PREFETCHER_NAMES
-    policies = tuple(policies) if policies else POLICY_NAMES
-    for pf in prefetchers:
-        if pf.lower() not in PREFETCHER_NAMES:
-            raise ValueError(
-                f"unknown prefetcher {pf!r}; expected one of "
-                f"{PREFETCHER_NAMES}"
-            )
-    for pol in policies:
-        if pol.lower() not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown replacement policy {pol!r}; expected one of "
-                f"{POLICY_NAMES}"
-            )
-    return [(pf, pol) for pf in prefetchers for pol in policies]

@@ -122,10 +122,8 @@ class TestSweepDeterminism:
         from repro.experiments.sweep import sweep
 
         clear_run_cache()
-        serial = sweep(self._points(), jobs=1, use_cache=False,
-                       progress=None)
-        parallel = sweep(self._points(), jobs=2, use_cache=False,
-                         progress=None)
+        serial = sweep(self._points(), jobs=1, use_cache=False)
+        parallel = sweep(self._points(), jobs=2, use_cache=False)
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
             assert s.point == p.point
@@ -136,7 +134,7 @@ class TestSweepDeterminism:
     def test_sweep_results_in_input_order(self):
         from repro.experiments.sweep import sweep
 
-        results = sweep(self._points(), jobs=2, progress=None)
+        results = sweep(self._points(), jobs=2)
         assert [r.point for r in results] == self._points()
 
 
@@ -166,10 +164,8 @@ class TestMicroserviceSweepDeterminism:
         from repro.experiments.sweep import sweep
 
         clear_run_cache()
-        serial = sweep(self._points(), jobs=1, use_cache=False,
-                       progress=None)
-        parallel = sweep(self._points(), jobs=2, use_cache=False,
-                         progress=None)
+        serial = sweep(self._points(), jobs=1, use_cache=False)
+        parallel = sweep(self._points(), jobs=2, use_cache=False)
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
             assert s.point == p.point

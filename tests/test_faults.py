@@ -19,9 +19,6 @@ from repro.experiments import diskcache, runner
 from repro.experiments.errors import (
     ExperimentError,
     PointFailure,
-    PointTimeoutError,
-    TransientError,
-    WorkerCrashError,
     backoff_delay,
 )
 from repro.experiments.faults import (
@@ -74,7 +71,7 @@ def _clean_states():
     """
     global _CLEAN
     if _CLEAN is None:
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        fault_plan=FaultPlan())
         assert report.ok
         _CLEAN = _states(report)
@@ -178,14 +175,14 @@ class TestBackoff:
 class TestSerialFaults:
     def test_flaky_crash_then_succeeds_bit_identical(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL, times=1)])
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        fault_plan=plan, max_retries=2, backoff_base=0.0)
         assert report.ok
         assert _states(report) == _clean_states()
 
     def test_persistent_crash_keep_going(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL)])
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        fault_plan=plan, max_retries=1, backoff_base=0.0,
                        keep_going=True)
         assert not report.ok
@@ -194,33 +191,65 @@ class TestSerialFaults:
         assert failure.kind == "crash"
         assert failure.label == EIP_LABEL
         assert failure.attempts == 2  # first try + one retry
+        assert failure.message == f"injected crash at {EIP_LABEL}"
         # The surviving point is still bit-identical to a clean run.
         assert _states(report) == _clean_states()[:1]
 
     def test_fail_fast_raises_point_failure(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL)])
         with pytest.raises(PointFailure, match="crash after 2 attempts"):
-            sweep(_points(), use_cache=False, progress=None,
+            sweep(_points(), use_cache=False,
                   fault_plan=plan, max_retries=1, backoff_base=0.0)
 
     def test_injected_transient_retried(self, cache_dir):
         plan = FaultPlan([Fault(ERROR, EIP_LABEL, times=2)])
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        fault_plan=plan, max_retries=2, backoff_base=0.0)
         assert report.ok
         assert _states(report) == _clean_states()
 
     def test_serial_hang_maps_to_timeout(self, cache_dir):
         plan = FaultPlan([Fault(HANG, EIP_LABEL)])
-        report = sweep(_points(), use_cache=False, progress=None,
-                       fault_plan=plan, max_retries=0, backoff_base=0.0,
+        report = sweep(_points(), use_cache=False,
+                       fault_plan=plan, max_retries=1, backoff_base=0.0,
                        keep_going=True, point_timeout=1.0)
         (failure,) = report.failures
         assert failure.kind == "timeout"
+        assert failure.attempts == 2  # retried
+        assert failure.message == f"injected hang at {EIP_LABEL}"
+
+    def test_persistent_transient_fails_after_retries(self, cache_dir):
+        plan = FaultPlan([Fault(ERROR, EIP_LABEL)])
+        report = sweep(_points(), use_cache=False, fault_plan=plan,
+                       max_retries=1, backoff_base=0.0, keep_going=True)
+        (failure,) = report.failures
+        assert (failure.kind, failure.attempts) == ("transient", 2)
+        assert failure.message == \
+            f"injected transient fault at {EIP_LABEL}"
+
+    def test_simulation_error_is_not_retried(self, cache_dir,
+                                             monkeypatch):
+        def broken(point, use_cache):
+            raise ValueError("bad config")
+
+        monkeypatch.setattr(runner, "simulate_point", broken)
+        events = []
+        report = sweep(_points()[1:], use_cache=False, events=events.append,
+                       fault_plan=FaultPlan(), max_retries=2,
+                       backoff_base=0.0, keep_going=True)
+        (failure,) = report.failures
+        assert (failure.kind, failure.attempts) == ("error", 1)
+        assert failure.message == "ValueError: bad config"
+        assert str(failure) == \
+            f"{EIP_LABEL}: error after 1 attempt: ValueError: bad config"
+        assert "retried" not in [e["event"] for e in events]
+        (failed,) = [e for e in events if e["event"] == "failed"]
+        assert (failed["kind"], failed["message"]) == \
+            ("error", failure.message)
 
     def test_zero_retries_single_attempt(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL, times=1)])
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        fault_plan=plan, max_retries=0, backoff_base=0.0,
                        keep_going=True)
         (failure,) = report.failures
@@ -229,7 +258,7 @@ class TestSerialFaults:
     def test_env_plan_drives_sweep(self, cache_dir, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", json.dumps(
             {"faults": [{"kind": "crash", "point": EIP_LABEL}]}))
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        max_retries=0, backoff_base=0.0, keep_going=True)
         assert [f.label for f in report.failures] == [EIP_LABEL]
 
@@ -240,20 +269,21 @@ class TestSerialFaults:
 class TestParallelFaults:
     def test_real_worker_crash_retries_and_recovers(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL, times=1)])
-        report = sweep(_points(), jobs=2, use_cache=False, progress=None,
+        report = sweep(_points(), jobs=2, use_cache=False,
                        fault_plan=plan, max_retries=2, backoff_base=0.01)
         assert report.ok
         assert _states(report) == _clean_states()
 
     def test_persistent_worker_crash_records_exit_code(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL)])
-        report = sweep(_points(), jobs=2, use_cache=False, progress=None,
+        report = sweep(_points(), jobs=2, use_cache=False,
                        fault_plan=plan, max_retries=1, backoff_base=0.01,
                        keep_going=True)
         (failure,) = report.failures
         assert failure.kind == "crash"
         assert failure.attempts == 2
-        assert str(CRASH_EXIT_CODE) in failure.message
+        assert failure.message == (f"worker for {EIP_LABEL} died "
+                                   f"(exit code {CRASH_EXIT_CODE})")
         assert _states(report) == _clean_states()[:1]
 
     def test_hang_beyond_timeout_killed_then_recovers(self, cache_dir):
@@ -261,7 +291,7 @@ class TestParallelFaults:
         # attempt 2 runs clean.  The timeout is generous enough that
         # the genuinely-simulating sibling point never trips it.
         plan = FaultPlan([Fault(HANG, EIP_LABEL, times=1, seconds=60.0)])
-        report = sweep(_points(), jobs=2, use_cache=False, progress=None,
+        report = sweep(_points(), jobs=2, use_cache=False,
                        fault_plan=plan, max_retries=1, backoff_base=0.01,
                        point_timeout=5.0)
         assert report.ok
@@ -272,19 +302,21 @@ class TestParallelFaults:
         # (tight) timeout, so slow machines cannot false-positive.
         plan = FaultPlan([Fault(HANG, EIP_LABEL, seconds=60.0)])
         report = sweep([SweepPoint(WORKLOAD, "eip", scale="tiny")],
-                       jobs=2, use_cache=False, progress=None,
+                       jobs=2, use_cache=False,
                        fault_plan=plan, max_retries=1, backoff_base=0.01,
                        point_timeout=1.0, keep_going=True)
         assert len(report) == 0
         (failure,) = report.failures
         assert failure.kind == "timeout"
         assert failure.attempts == 2
+        assert failure.message == \
+            f"{EIP_LABEL} exceeded point timeout (1.0s)"
 
     def test_parallel_faulted_report_deterministic(self, cache_dir):
         plan = FaultPlan([Fault(CRASH, EIP_LABEL, times=1)])
-        first = sweep(_points(), jobs=2, use_cache=False, progress=None,
+        first = sweep(_points(), jobs=2, use_cache=False,
                       fault_plan=plan, max_retries=1, backoff_base=0.01)
-        second = sweep(_points(), jobs=2, use_cache=False, progress=None,
+        second = sweep(_points(), jobs=2, use_cache=False,
                        fault_plan=plan, max_retries=1, backoff_base=0.01)
         assert _states(first) == _states(second)
         assert [r.point for r in first] == [r.point for r in second]
@@ -295,14 +327,14 @@ class TestParallelFaults:
 # ----------------------------------------------------------------------
 class TestCacheCorruption:
     def test_pre_corrupted_entry_resimulated_bit_identical(self, cache_dir):
-        clean = sweep(_points(), progress=None, fault_plan=FaultPlan())
+        clean = sweep(_points(), fault_plan=FaultPlan())
         assert clean.ok and len(diskcache.get_cache()) == 2
         # Tear the eip entry as a crashed writer would have.
         eip_path = diskcache.get_cache().path_for(_points()[1].key())
         assert corrupt_file(eip_path, TRUNCATE)
         runner.clear_run_cache()  # memory gone; disk has 1 good + 1 bad
         runner.reset_run_cache_stats()
-        report = sweep(_points(), progress=None, fault_plan=FaultPlan())
+        report = sweep(_points(), fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _states(clean)
         by_label = {r.point.label: r.source for r in report}
@@ -314,22 +346,22 @@ class TestCacheCorruption:
 
     def test_injected_cache_fault_corrupts_after_store(self, cache_dir):
         plan = FaultPlan([Fault(BITFLIP, EIP_LABEL, offset=100)])
-        first = sweep(_points(), progress=None, fault_plan=plan)
+        first = sweep(_points(), fault_plan=plan)
         assert first.ok  # corruption lands after the result is returned
         runner.clear_run_cache()
         runner.reset_run_cache_stats()
-        report = sweep(_points(), progress=None, fault_plan=FaultPlan())
+        report = sweep(_points(), fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _states(first)
         assert runner.run_cache_stats().kinds["result"].corrupt == 1
 
     def test_parallel_worker_injects_cache_fault(self, cache_dir):
         plan = FaultPlan([Fault(TRUNCATE, EIP_LABEL)])
-        first = sweep(_points(), jobs=2, progress=None, fault_plan=plan)
+        first = sweep(_points(), jobs=2, fault_plan=plan)
         assert first.ok
         runner.clear_run_cache()
         runner.reset_run_cache_stats()
-        report = sweep(_points(), progress=None, fault_plan=FaultPlan())
+        report = sweep(_points(), fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _states(first)
         assert runner.run_cache_stats().kinds["result"].corrupt == 1
@@ -340,33 +372,21 @@ class TestCacheCorruption:
 # ----------------------------------------------------------------------
 class TestSweepReport:
     def test_iterates_like_the_old_result_list(self, cache_dir):
-        report = sweep(_points(), progress=None, fault_plan=FaultPlan())
+        report = sweep(_points(), fault_plan=FaultPlan())
         assert isinstance(report, SweepReport)
         assert len(report) == 2
         assert [r.point for r in report] == _points()
         assert report.ok
 
     def test_raise_if_failed(self, cache_dir):
-        report = sweep(_points(), progress=None, fault_plan=FaultPlan())
+        report = sweep(_points(), fault_plan=FaultPlan())
         assert report.raise_if_failed() is report
         plan = FaultPlan([Fault(CRASH, EIP_LABEL)])
-        failed = sweep(_points(), use_cache=False, progress=None,
+        failed = sweep(_points(), use_cache=False,
                        fault_plan=plan, max_retries=0, backoff_base=0.0,
                        keep_going=True)
         with pytest.raises(PointFailure):
             failed.raise_if_failed()
-
-    def test_failure_taxonomy_mapping(self):
-        crash = PointFailure.from_error(
-            "w/p", 0, WorkerCrashError("died", exitcode=-9), 3)
-        assert crash.kind == "crash" and crash.attempts == 3
-        timeout = PointFailure.from_error(
-            "w/p", 1, PointTimeoutError("slow", timeout=5.0), 1)
-        assert timeout.kind == "timeout"
-        flaky = PointFailure.from_error("w/p", 2, TransientError("eh"), 2)
-        assert flaky.kind == "transient"
-        hard = PointFailure.from_error("w/p", 3, ValueError("bad"), 1)
-        assert hard.kind == "error"
 
 
 class TestErrorTaxonomy:

@@ -57,7 +57,7 @@ from repro.experiments.journal import (
     run_sweep,
     runs_root,
 )
-from repro.experiments.service import (
+from repro.experiments.events import (
     JsonlEventLog,
     ShutdownRequest,
     follow_events,
@@ -245,9 +245,9 @@ class TestRunDirLifecycle:
 
     def test_resume_requires_the_cache(self, cache_dir, fake_executor):
         pts = _points(2)
-        run_sweep(pts, **_config(), progress=None, fault_plan=FaultPlan())
+        run_sweep(pts, **_config(), fault_plan=FaultPlan())
         with pytest.raises(JournalError, match="disk cache disabled"):
-            run_sweep(pts, **_config(use_cache=False), progress=None,
+            run_sweep(pts, **_config(use_cache=False),
                       resume=True, fault_plan=FaultPlan())
 
 
@@ -260,7 +260,7 @@ class TestInterruptAndResume:
         pts = _points(8)
         plan = FaultPlan([Fault(PARENT_SIGNAL, 3, signum=signal.SIGTERM)])
         with pytest.raises(SweepInterrupted) as exc:
-            run_sweep(pts, **_config(), progress=None, fault_plan=plan,
+            run_sweep(pts, **_config(), fault_plan=plan,
                       handle_signals=True)
         assert exc.value.signum == signal.SIGTERM
         assert exc.value.exit_code == 128 + signal.SIGTERM
@@ -273,7 +273,7 @@ class TestInterruptAndResume:
         assert interrupted["status"] == "interrupted"
         assert interrupted["missing"]  # genuinely unfinished
 
-        report, journal = run_sweep(pts, **_config(), progress=None,
+        report, journal = run_sweep(pts, **_config(),
                                     resume=True, run_id=run_id,
                                     fault_plan=FaultPlan())
         assert journal.run_id == run_id and journal.segment == 2
@@ -300,7 +300,7 @@ class TestInterruptAndResume:
                 stop.request()
 
         with pytest.raises(SweepInterrupted) as exc:
-            sweep(pts, **_config(), events=sink, progress=None,
+            sweep(pts, **_config(), events=sink,
                   fault_plan=FaultPlan(), shutdown=stop)
         assert exc.value.signum is None and exc.value.exit_code == 130
         assert seen[-1]["event"] == "end"
@@ -312,13 +312,13 @@ class TestInterruptAndResume:
         poison = FaultPlan([Fault(ERROR, 1)])  # persistent: exhausts
         report, journal = run_sweep(
             pts, **_config(keep_going=True, max_retries=1),
-            progress=None, fault_plan=poison)
+            fault_plan=poison)
         (failure,) = report.failures
         assert failure.index == 1 and failure.attempts == 2
 
         report2, journal2 = run_sweep(
             pts, **_config(keep_going=True, max_retries=1),
-            progress=None, resume=True, fault_plan=FaultPlan())
+            resume=True, fault_plan=FaultPlan())
         assert journal2.replay_poisoned == 1
         assert journal2.replay_preresolved == 3
         (failure2,) = report2.failures
@@ -341,12 +341,11 @@ class TestInterruptAndResume:
                                                    fake_executor):
         pts = _points(4)
         run = run_sweep(pts, **_config(keep_going=True, max_retries=0),
-                        progress=None,
                         fault_plan=FaultPlan([Fault(ERROR, 1)]))
         assert run[0].failures
         with pytest.raises(PointFailure):
             run_sweep(pts, **_config(keep_going=False, max_retries=0),
-                      progress=None, resume=True,
+                      resume=True,
                       fault_plan=FaultPlan())
 
     def test_torn_journal_fault_then_resume(self, cache_dir,
@@ -355,14 +354,14 @@ class TestInterruptAndResume:
         mid-append: the damaged record is lost, its point re-enters."""
         pts = _points(4)
         plan = FaultPlan([Fault(TORN_JOURNAL, 1)])
-        report, journal = run_sweep(pts, **_config(), progress=None,
+        report, journal = run_sweep(pts, **_config(),
                                     fault_plan=plan)
         assert len(report.results) == len(pts)
         events = read_events(journal.segment_path(1))
         assert events, "torn tail must not destroy the whole segment"
         assert events[-1].get("event") != "end"  # the trailer was torn
 
-        report2, journal2 = run_sweep(pts, **_config(), progress=None,
+        report2, journal2 = run_sweep(pts, **_config(),
                                       resume=True,
                                       fault_plan=FaultPlan())
         ref = _ref_states(pts)
@@ -400,7 +399,7 @@ _CHILD_SCRIPT = textwrap.dedent("""
               for seed in (1, 2)
               for pf in (None, "eip", "mana", "hierarchical", "efetch")]
     print("ready", flush=True)
-    run_sweep(points, progress=None, backoff_base=0.0)
+    run_sweep(points, backoff_base=0.0)
 """)
 
 
@@ -443,7 +442,7 @@ class TestSigkillChaos:
         assert interrupted["status"] is None  # killed: no end trailer
         assert interrupted["missing"], "child must not have finished"
 
-        report, journal = run_sweep(pts, **_config(), progress=None,
+        report, journal = run_sweep(pts, **_config(),
                                     resume=True, fault_plan=FaultPlan())
         assert journal.run_dir == run_dir and journal.segment == 2
         # Bit-identical to an uninterrupted (serial, fault-free) run.
@@ -496,7 +495,7 @@ class TestDurableJournal:
         seen = []
         with pytest.raises(JournalError, match="No space left"):
             run_sweep(_points(4), **_config(jobs=2), events=seen.append,
-                      progress=None, fault_plan=FaultPlan())
+                      fault_plan=FaultPlan())
         assert multiprocessing.active_children() == []
         # The best-effort sink still receives the trailer.
         assert seen[-1]["event"] == "end"
@@ -634,7 +633,7 @@ class TestCli:
     def test_manifest_events_reads_run_directory(
             self, cache_dir, fake_executor, capsys):
         pts = _points(4)
-        _report, journal = run_sweep(pts, **_config(), progress=None,
+        _report, journal = run_sweep(pts, **_config(),
                                      fault_plan=FaultPlan())
         assert main(["manifest", "events", str(journal.run_dir),
                      "--check"]) == 0

@@ -20,7 +20,7 @@ from repro.experiments.manifest import (
     parse_manifest,
     tomllib,
 )
-from repro.experiments.service import read_events, summarize_events
+from repro.experiments.events import read_events, summarize_events
 from repro.experiments.sweep import DEFAULT_PREFETCHERS, grid
 
 needs_toml = pytest.mark.skipif(

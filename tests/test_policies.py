@@ -303,16 +303,26 @@ class TestSplitCounters:
 # Experiments family + CLI surface (tiny scale)
 # ======================================================================
 class TestPolicySurface:
-    def test_cross_product_grid(self):
-        from repro.prefetchers.registry import prefetcher_policy_grid
+    def test_cross_product_grid(self, monkeypatch):
+        from repro.experiments import policies
 
-        pairs = prefetcher_policy_grid(("fdip", "eip"), ("lru", "lip"))
-        assert pairs == [("fdip", "lru"), ("fdip", "lip"),
-                         ("eip", "lru"), ("eip", "lip")]
+        scheduled = []
+        monkeypatch.setattr(policies, "sweep",
+                            lambda points, **kw: scheduled.extend(points)
+                            or [])
+        policies.policy_sweep(("mysql_sibench",), ("fdip", "eip"),
+                              ("lru", "lip"), scale="tiny")
+        assert sorted((p.prefetcher or "fdip",
+                       p.overrides["hierarchy.policy"])
+                      for p in scheduled) == sorted(
+            [("fdip", "lru"), ("fdip", "lip"),
+             ("eip", "lru"), ("eip", "lip")])
+        scheduled.clear()
         with pytest.raises(ValueError, match="policy"):
-            prefetcher_policy_grid(policies=("bogus",))
+            policies.policy_sweep(policies=("bogus",))
         with pytest.raises(ValueError, match="prefetcher"):
-            prefetcher_policy_grid(prefetchers=("bogus",))
+            policies.policy_sweep(prefetchers=("bogus",))
+        assert scheduled == []  # rejected before any point is scheduled
 
     def test_fig20_and_tab06(self):
         from repro.experiments.policies import (

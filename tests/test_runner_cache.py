@@ -302,7 +302,7 @@ class TestColdPointReads:
 
         monkeypatch.setattr(diskcache.DiskCache, "get", counting_get)
         point = SweepPoint("mysql_sibench", "eip", scale="tiny")
-        report = sweep([point], jobs=1, progress=None)
+        report = sweep([point], jobs=1)
         assert report.ok
         assert result_gets == [point.key()]
         s = run_cache_stats()
@@ -343,7 +343,7 @@ class TestPointRun:
         assert again is first
         s = run_cache_stats()
         assert (s.simulations, s.memory_hits) == (1, 1)
-        report = sweep([point], use_cache=False, progress=None)
+        report = sweep([point], use_cache=False)
         assert report.results[0].stats.state_dict() == first.state_dict()
 
     def test_without_a_cache_no_store_is_touched(self, cache_dir,
@@ -596,6 +596,20 @@ class TestTraceStore:
         assert run_cache_stats().kinds["trace"].hits == 1
         assert second == first
 
+    def test_cli_reads_the_trace_store(self, cache_dir, builds, tmp_path,
+                                       capsys):
+        from repro.cli import main
+
+        runner.get_trace(WORKLOAD, scale="tiny")
+        assert builds == [WORKLOAD]
+        workload_cache.clear_caches()
+        out = tmp_path / "trace.npz"
+        assert main(["trace", WORKLOAD, "--scale", "tiny",
+                     "-o", str(out)]) == 0
+        assert builds == [WORKLOAD]  # `repro trace` loaded, not rebuilt
+        assert out.exists()
+        assert run_cache_stats().kinds["trace"].hits == 1
+
     def test_disabled_store_is_never_created(self, cache_dir, monkeypatch):
         # Seeds no other test memoizes: both traces are really built.
         runner.get_trace(WORKLOAD, scale="tiny", seed=11, use_cache=False)
@@ -780,7 +794,7 @@ class TestTraceFirstDispatch:
         points = grid(["mysql_sibench", "msvc_social"], ["eip"],
                       scale="tiny")
         events = []
-        report = sweep(points, jobs=2, progress=None, events=events.append)
+        report = sweep(points, jobs=2, events=events.append)
         scheduled = [e["label"] for e in events
                      if e["event"] == "scheduled"]
         assert [label.split("/")[0] for label in scheduled[:2]] == \

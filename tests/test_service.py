@@ -22,9 +22,10 @@ from repro.experiments import diskcache, runner
 from repro.experiments.errors import EventStreamError, PointFailure
 from repro.experiments.faults import CRASH, ERROR, HANG, Fault, FaultPlan
 from repro.experiments.manifest import parse_manifest
-from repro.experiments.service import (
+from repro.experiments.events import (
     EVENT_SCHEMA,
     JsonlEventLog,
+    ProgressLines,
     _Emitter,
     format_events_summary,
     read_events,
@@ -62,7 +63,7 @@ def _clean_states():
     """Fault-free in-process reference states (computed once)."""
     global _CLEAN
     if _CLEAN is None:
-        report = sweep(_points(), use_cache=False, progress=None,
+        report = sweep(_points(), use_cache=False,
                        fault_plan=FaultPlan())
         assert report.ok
         _CLEAN = _states(report)
@@ -77,7 +78,7 @@ class TestBitIdentity:
         events = tmp_path / "events.jsonl"
         with JsonlEventLog(events) as log:
             report = sweep(_points(), jobs=2, use_cache=False,
-                           events=log, progress=None,
+                           events=log,
                            fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _clean_states()
@@ -91,7 +92,7 @@ class TestBitIdentity:
         plan = FaultPlan([Fault(CRASH, f"{WORKLOAD}/eip", times=1)])
         with JsonlEventLog(events) as log:
             report = sweep(_points(), jobs=2, use_cache=False,
-                           events=log, progress=None, fault_plan=plan)
+                           events=log, fault_plan=plan)
         assert report.ok
         assert _states(report) == _clean_states()
         summary = summarize_events(read_events(events))
@@ -100,11 +101,11 @@ class TestBitIdentity:
 
     def test_warm_points_resolve_without_scheduling(self, cache_dir,
                                                     tmp_path):
-        sweep(_points(), progress=None, fault_plan=FaultPlan())
+        sweep(_points(), fault_plan=FaultPlan())
         runner.clear_run_cache()  # drop memory layer; keep disk
         events = tmp_path / "events.jsonl"
         with JsonlEventLog(events) as log:
-            report = sweep(_points(), jobs=2, events=log, progress=None,
+            report = sweep(_points(), jobs=2, events=log,
                            fault_plan=FaultPlan())
         assert report.ok
         assert _states(report) == _clean_states()
@@ -118,7 +119,7 @@ class TestBitIdentity:
         plan = FaultPlan([Fault(ERROR, f"{WORKLOAD}/eip")])  # persistent
         with pytest.raises(PointFailure) as exc:
             sweep(_points(), jobs=2, use_cache=False, max_retries=0,
-                  backoff_base=0.0, progress=None, fault_plan=plan)
+                  backoff_base=0.0, fault_plan=plan)
         assert exc.value.kind == "transient"
 
 
@@ -139,7 +140,7 @@ class TestDurableOrder:
                 payload = store.get(points[event["index"]].key())
                 stored[event["index"]] = payload and payload["stats"]
 
-        report = sweep(points, jobs=jobs, progress=None, events=sink,
+        report = sweep(points, jobs=jobs, events=sink,
                        fault_plan=FaultPlan())
         assert report.ok
         assert stored == dict(enumerate(_clean_states()))
@@ -302,7 +303,7 @@ class TestEvents:
         # sweep() merges run_info (run_id, segment) into ``begin``;
         # both keys are declared optional.
         events = []
-        sweep(_points()[:1], events=events.append, progress=None,
+        sweep(_points()[:1], events=events.append,
               fault_plan=FaultPlan(),
               run_info={"run_id": "r1", "segment": 2})
         begin = events[0]
@@ -316,8 +317,66 @@ class TestEvents:
             raise RuntimeError("sink down")
 
         report = sweep(_points(), use_cache=False, events=exploding_sink,
-                       progress=None, fault_plan=FaultPlan())
+                       fault_plan=FaultPlan())
         assert report.ok
+
+
+class TestProgressLines:
+    """The console lines are read from the event stream alone."""
+
+    @staticmethod
+    def _line(n, total, label, tail):
+        return f"[{n}/{total}] {label:<28s} {tail}"
+
+    def test_cached_simulated_and_failed_points(self, cache_dir,
+                                                monkeypatch, capsys):
+        monkeypatch.setattr(runner, "simulate_point", _fake_simulate)
+        points = [SweepPoint(WORKLOAD, pf, scale="tiny")
+                  for pf in (None, "eip", "mana")]
+        sweep(points[:1], fault_plan=FaultPlan())
+        assert capsys.readouterr() == ("", "")  # no sinks: silent
+
+        events = []
+        plan = FaultPlan([Fault(CRASH, points[2].label)])
+        report = sweep(points, events=[ProgressLines(), events.append],
+                       fault_plan=plan, max_retries=1, backoff_base=0.0,
+                       keep_going=True)
+        seconds = {e["index"]: e["seconds"] for e in events
+                   if e["event"] == "completed"}
+        assert [e["kind"] for e in events
+                if e["event"] == "retried"] == ["crash"]
+        assert report.failures[0].attempts == 2
+        assert capsys.readouterr().out.splitlines() == [
+            self._line(1, 3, "mysql_sibench/fdip",
+                       f"memory {seconds[0]:6.2f}s"),
+            self._line(2, 3, "mysql_sibench/eip",
+                       f"sim    {seconds[1]:6.2f}s"),
+            self._line(3, 3, "mysql_sibench/mana",
+                       "FAIL   (crash after 2 attempts)"),
+        ]
+
+    def test_resume_counts_from_the_preresolved_points(
+            self, cache_dir, monkeypatch, capsys):
+        from repro.experiments.journal import run_sweep
+
+        monkeypatch.setattr(runner, "simulate_point", _fake_simulate)
+        points = [SweepPoint(WORKLOAD, pf, scale="tiny")
+                  for pf in (None, "eip", "mana")]
+        policy = {"jobs": 1, "backoff_base": 0.0, "keep_going": True,
+                  "max_retries": 0}
+        run_sweep(points, fault_plan=FaultPlan([Fault(ERROR, 1)]),
+                  **policy)
+        assert capsys.readouterr() == ("", "")
+        report, journal = run_sweep(points, events=ProgressLines(),
+                                    resume=True, fault_plan=FaultPlan(),
+                                    **policy)
+        assert journal.replay_preresolved == 2
+        assert [f.kind for f in report.failures] == ["transient"]
+        assert capsys.readouterr().out.splitlines() == [
+            self._line(3, 3, "mysql_sibench/eip",
+                       "FAIL   (transient, poisoned — quarantined by "
+                       "run journal)"),
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +419,7 @@ class TestAcceptanceScale:
         assert len(points) == 1200
 
         # Fault-free reference (the bit-identity baseline).
-        reference = sweep(points, use_cache=False, progress=None,
+        reference = sweep(points, use_cache=False,
                           fault_plan=FaultPlan())
         assert reference.ok
         ref = {r.point.key(): r.stats.state_dict() for r in reference}
@@ -380,7 +439,7 @@ class TestAcceptanceScale:
         events = tmp_path / "acceptance.jsonl"
         with JsonlEventLog(events) as log:
             report = sweep(points, keep_going=True, backoff_base=0.0,
-                           events=log, progress=None, fault_plan=plan)
+                           events=log, fault_plan=plan)
 
         # Survivors: everything except the persistently hung point,
         # each bit-identical to the fault-free run.
@@ -408,7 +467,7 @@ class TestAcceptanceScale:
         events2 = tmp_path / "warm.jsonl"
         with JsonlEventLog(events2) as log:
             again = sweep(points, keep_going=True, backoff_base=0.0,
-                          events=log, progress=None,
+                          events=log,
                           fault_plan=FaultPlan())
         assert again.ok and len(again) == 1200
         for result in again:
