@@ -19,7 +19,7 @@ proportional to their code size (see :mod:`repro.workloads.suite`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.callgraph import build_call_graph, reachable_sizes
 from repro.callgraph.graph import CallGraph
@@ -53,17 +53,22 @@ class BundleInfo:
         return len(self.entries) / len(self.graph)
 
 
-def get_bundle_entries(graph: CallGraph, threshold: int) -> Set[str]:
+def get_bundle_entries(
+    graph: CallGraph, threshold: int,
+    reachable: Optional[Dict[str, int]] = None,
+) -> Set[str]:
     """Algorithm 1: return the Bundle entry-point functions of ``graph``.
 
     Follows the paper's pseudo-code line by line: skip functions whose
     reachable size is below ``threshold``; mark a function when any
     father's reachable size exceeds it by more than ``threshold``; treat
-    qualifying roots as entries.
+    qualifying roots as entries.  ``reachable`` is
+    ``reachable_sizes(graph)`` when the caller already has it.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    reachable = reachable_sizes(graph)
+    if reachable is None:
+        reachable = reachable_sizes(graph)
     entries: Set[str] = set()
     for func, size in reachable.items():
         if size < threshold:
@@ -87,7 +92,7 @@ def identify_bundles(
     """
     graph = build_call_graph(binary)
     reachable = reachable_sizes(graph)
-    entries = get_bundle_entries(graph, threshold)
+    entries = get_bundle_entries(graph, threshold, reachable)
     return BundleInfo(
         threshold=threshold, entries=entries, reachable=reachable, graph=graph
     )

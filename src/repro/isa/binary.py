@@ -10,18 +10,11 @@ the ELF segment the paper adds next to ``.dynamic``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.isa.instructions import (
-    INSTR_BYTES,
-    TEXT_BASE,
-    BranchKind,
-    CALL_KINDS,
-)
+from repro.isa.instructions import INSTR_BYTES, TEXT_BASE, BranchKind
 
 
-@dataclass
 class BlockSpec:
     """One basic block of a synthetic function body.
 
@@ -44,18 +37,57 @@ class BlockSpec:
         itargets: in-function block indices for ``IJUMP`` terminators.
         offset: byte offset of the block within its function (assigned by
             :class:`Function`).
+
+    A binary holds about a hundred thousand blocks, so the class keeps
+    its fields in slots rather than a per-instance ``__dict__``.  Two
+    blocks are equal when every field but ``offset`` is; blocks are
+    mutable and therefore unhashable.
     """
 
-    ninstr: int
-    kind: BranchKind = BranchKind.NONE
-    callee: Optional[str] = None
-    targets: Tuple[str, ...] = ()
-    selector: Optional[str] = None
-    taken_prob: float = 0.0
-    taken_next: int = -1
-    loop_count: int = 0
-    itargets: Tuple[int, ...] = ()
-    offset: int = field(default=-1, compare=False)
+    __slots__ = ("ninstr", "kind", "callee", "targets", "selector",
+                 "taken_prob", "taken_next", "loop_count", "itargets",
+                 "offset")
+
+    def __init__(
+        self,
+        ninstr: int,
+        kind: BranchKind = BranchKind.NONE,
+        callee: Optional[str] = None,
+        targets: Tuple[str, ...] = (),
+        selector: Optional[str] = None,
+        taken_prob: float = 0.0,
+        taken_next: int = -1,
+        loop_count: int = 0,
+        itargets: Tuple[int, ...] = (),
+        offset: int = -1,
+    ):
+        self.ninstr = ninstr
+        self.kind = kind
+        self.callee = callee
+        self.targets = targets
+        self.selector = selector
+        self.taken_prob = taken_prob
+        self.taken_next = taken_next
+        self.loop_count = loop_count
+        self.itargets = itargets
+        self.offset = offset
+
+    def _compared(self) -> tuple:
+        return (self.ninstr, self.kind, self.callee, self.targets,
+                self.selector, self.taken_prob, self.taken_next,
+                self.loop_count, self.itargets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"BlockSpec({fields})"
 
     @property
     def size(self) -> int:
@@ -63,41 +95,56 @@ class BlockSpec:
         return self.ninstr * INSTR_BYTES
 
     def validate(self, index: int, nblocks: int) -> None:
-        """Check internal consistency; raise ``ValueError`` on violation."""
-        if self.ninstr < 1:
+        """Check internal consistency as block ``index`` of a body of
+        ``nblocks``; raise ``ValueError`` on violation."""
+        _check_blocks((self,), index, nblocks)
+
+
+def _check_blocks(blocks: Sequence[BlockSpec], first: int,
+                  nblocks: int) -> None:
+    """The block rules: check ``blocks``, numbered from ``first``, as
+    blocks of a body of ``nblocks``; raise ``ValueError`` at the first
+    violation.  :class:`Function` checks its whole body in one call."""
+    COND, JUMP, CALL, ICALL, IJUMP = (
+        BranchKind.COND, BranchKind.JUMP, BranchKind.CALL,
+        BranchKind.ICALL, BranchKind.IJUMP)
+    last = nblocks - 1
+    for index, blk in enumerate(blocks, first):
+        kind = blk.kind
+        if blk.ninstr < 1:
             raise ValueError(f"block {index}: ninstr must be >= 1")
-        if self.kind == BranchKind.CALL and not self.callee:
-            raise ValueError(f"block {index}: CALL requires a callee")
-        if self.kind == BranchKind.ICALL and not self.targets:
-            raise ValueError(f"block {index}: ICALL requires targets")
-        if self.kind in (BranchKind.COND, BranchKind.JUMP):
-            if not (0 <= self.taken_next < nblocks):
+        if kind == CALL:
+            if not blk.callee:
+                raise ValueError(f"block {index}: CALL requires a callee")
+        elif kind == ICALL:
+            if not blk.targets:
+                raise ValueError(f"block {index}: ICALL requires targets")
+        elif kind == COND or kind == JUMP:
+            if not 0 <= blk.taken_next < nblocks:
                 raise ValueError(
-                    f"block {index}: taken_next {self.taken_next} out of "
+                    f"block {index}: taken_next {blk.taken_next} out of "
                     f"range [0, {nblocks})"
                 )
-        if self.loop_count:
-            if self.kind != BranchKind.COND or self.taken_next >= index:
-                raise ValueError(
-                    f"block {index}: loop_count requires a backward COND"
-                )
-        if self.kind == BranchKind.IJUMP:
-            if not self.itargets:
+        if blk.loop_count and (kind != COND or blk.taken_next >= index):
+            raise ValueError(
+                f"block {index}: loop_count requires a backward COND"
+            )
+        if kind == IJUMP:
+            if not blk.itargets:
                 raise ValueError(f"block {index}: IJUMP requires itargets")
-            for t in self.itargets:
-                if not (0 <= t < nblocks):
+            for t in blk.itargets:
+                if not 0 <= t < nblocks:
                     raise ValueError(
                         f"block {index}: IJUMP target {t} out of range"
                     )
-        if self.kind in (BranchKind.COND, BranchKind.NONE, BranchKind.CALL,
-                         BranchKind.ICALL):
-            if index == nblocks - 1 and self.kind != BranchKind.NONE:
-                # Fall-through off the end of the function is a layout bug
-                # for kinds that can fall through.
-                raise ValueError(
-                    f"block {index}: terminator {self.kind.name} may fall "
-                    "through past the end of the function"
-                )
+        elif index == last and (kind == COND or kind == CALL
+                                or kind == ICALL):
+            # Fall-through off the end of the function is a layout bug
+            # for kinds that can fall through.
+            raise ValueError(
+                f"block {index}: terminator {kind.name} may fall "
+                "through past the end of the function"
+            )
 
 
 class Function:
@@ -111,11 +158,11 @@ class Function:
         self.name = name
         self.blocks: List[BlockSpec] = list(blocks)
         self.addr = -1  # assigned by Binary.layout()
+        _check_blocks(self.blocks, 0, len(self.blocks))
         offset = 0
-        for i, blk in enumerate(self.blocks):
-            blk.validate(i, len(self.blocks))
+        for blk in self.blocks:
             blk.offset = offset
-            offset += blk.size
+            offset += blk.ninstr * INSTR_BYTES
         self.size = offset
 
     @property
@@ -135,25 +182,22 @@ class Function:
         blk = self.blocks[index]
         return self.block_addr(index) + (blk.ninstr - 1) * INSTR_BYTES
 
-    def iter_call_sites(self) -> Iterator[Tuple[int, BlockSpec]]:
-        """Yield ``(block_index, block)`` for every call-terminated block."""
-        for i, blk in enumerate(self.blocks):
-            if blk.kind in CALL_KINDS:
-                yield i, blk
-
     def static_callees(self) -> List[str]:
-        """All statically visible callee names (direct and indirect).
+        """All statically visible callee names (direct and indirect), in
+        call-site order.
 
         Indirect call sites contribute every candidate target — the
         static call graph deliberately over-approximates, as the paper
         notes ("static call graphs tend to overestimate the actual
         graphs").
         """
+        CALL, ICALL = BranchKind.CALL, BranchKind.ICALL
         out: List[str] = []
-        for _, blk in self.iter_call_sites():
-            if blk.kind == BranchKind.CALL:
+        for blk in self.blocks:
+            kind = blk.kind
+            if kind == CALL:
                 out.append(blk.callee)  # type: ignore[arg-type]
-            else:
+            elif kind == ICALL:
                 out.extend(blk.targets)
         return out
 
@@ -240,14 +284,13 @@ class Binary:
         """Check cross-function consistency (callee names resolve)."""
         if self.entry not in self.functions:
             raise ValueError(f"entry function {self.entry!r} not defined")
-        for func in self.functions.values():
-            for _, blk in func.iter_call_sites():
-                names = (blk.callee,) if blk.kind == BranchKind.CALL else blk.targets
-                for name in names:
-                    if name not in self.functions:
-                        raise ValueError(
-                            f"{func.name}: call to undefined function {name!r}"
-                        )
+        functions = self.functions
+        for func in functions.values():
+            for name in func.static_callees():
+                if name not in functions:
+                    raise ValueError(
+                        f"{func.name}: call to undefined function {name!r}"
+                    )
 
     def __repr__(self) -> str:
         return (

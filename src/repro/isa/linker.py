@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, Set
 
 from repro.core.bundles import BundleInfo, identify_bundles
 from repro.isa.binary import Binary
-from repro.isa.instructions import BranchKind
+from repro.isa.instructions import INSTR_BYTES, BranchKind
 
 #: Name of the section holding the tagged-address record.
 BUNDLE_SECTION = "bundle_entries"
@@ -56,18 +56,24 @@ class Linker:
         if not binary.is_laid_out:
             binary.layout()
         info = identify_bundles(binary, self.threshold)
+        entries = info.entries
+        CALL, ICALL, RET = BranchKind.CALL, BranchKind.ICALL, BranchKind.RET
         tagged: Set[int] = set()
         for func in binary:
-            for idx, blk in enumerate(func.blocks):
-                if blk.kind == BranchKind.CALL:
-                    if blk.callee in info.entries:
-                        tagged.add(func.terminator_addr(idx))
-                elif blk.kind == BranchKind.ICALL:
-                    if any(t in info.entries for t in blk.targets):
-                        tagged.add(func.terminator_addr(idx))
-                elif blk.kind == BranchKind.RET:
-                    if func.name in info.entries:
-                        tagged.add(func.terminator_addr(idx))
+            # A block's terminator sits at its last instruction.
+            base = func.addr - INSTR_BYTES
+            is_entry = func.name in entries
+            for blk in func.blocks:
+                kind = blk.kind
+                if kind == CALL:
+                    if blk.callee not in entries:
+                        continue
+                elif kind == ICALL:
+                    if entries.isdisjoint(blk.targets):
+                        continue
+                elif kind != RET or not is_entry:
+                    continue
+                tagged.add(base + blk.offset + blk.ninstr * INSTR_BYTES)
         entry_addrs = {
             name: binary.get(name).addr for name in sorted(info.entries)
         }

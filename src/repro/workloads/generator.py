@@ -51,29 +51,17 @@ def _make_body(
     target_instrs = max(6, size_bytes // INSTR_BYTES)
     blocks: List[BlockSpec] = []
     instrs = 0
-
-    def compute_block(lo: int = 4, hi: int = 10) -> int:
-        nonlocal instrs
-        n = rng.randint(lo, hi)
-        draw = rng.random()
-        if draw < params.branch_noise:
-            prob = params.noisy_taken_prob
-        elif draw < params.branch_noise + params.taken_bias_frac:
-            # Taken-biased branch: direction is easy to predict, but the
-            # branch needs a BTB entry for the FTQ to follow it — the
-            # population that pressures the BTB on large working sets.
-            # (The taken target is the next block, so FDIP's sequential
-            # continuation covers the code even on a BTB miss; only the
-            # resteer bubble is paid.)
-            prob = _EASY_NOT_TAKEN
-        else:
-            prob = _EASY_TAKEN
-        blocks.append(
-            BlockSpec(ninstr=n, kind=BranchKind.COND, taken_prob=prob,
-                      taken_next=len(blocks) + 1)
-        )
-        instrs += n
-        return n
+    # A binary draws ~100K blocks here: read the RNG's methods and the
+    # params once.  ``lo + randbelow(hi - lo + 1)`` is ``randint(lo, hi)``
+    # without its argument checks, drawing the identical stream
+    # (tests/test_generator_bodies.py pins the equivalence).
+    randbelow = rng._randbelow
+    rand = rng.random
+    append = blocks.append
+    COND = BranchKind.COND
+    noise = params.branch_noise
+    biased = noise + params.taken_bias_frac
+    noisy_prob = params.noisy_taken_prob
 
     # Reserve instruction budget for call blocks.
     call_budget = sum(3 + (4 if optional else 0) for _, optional in callees)
@@ -82,54 +70,62 @@ def _make_body(
     fill_per_gap = fill_target // (n_callees + 1) if n_callees else fill_target
 
     def fill(amount: int) -> None:
+        """Append compute blocks until they hold ``amount`` instructions."""
         nonlocal instrs
         done = 0
         while done < amount:
-            done += compute_block()
+            n = 4 + randbelow(7)
+            draw = rand()
+            if draw < noise:
+                prob = noisy_prob
+            elif draw < biased:
+                # Taken-biased branch: direction is easy to predict, but
+                # the branch needs a BTB entry for the FTQ to follow it —
+                # the population that pressures the BTB on large working
+                # sets.  (The taken target is the next block, so FDIP's
+                # sequential continuation covers the code even on a BTB
+                # miss; only the resteer bubble is paid.)
+                prob = _EASY_NOT_TAKEN
+            else:
+                prob = _EASY_TAKEN
+            append(BlockSpec(n, COND, taken_prob=prob,
+                             taken_next=len(blocks) + 1))
+            done += n
+        instrs += done
 
     fill(fill_per_gap)
     if switch_targets:
-        blocks.append(
-            BlockSpec(ninstr=rng.randint(2, 5), kind=BranchKind.ICALL,
-                      targets=tuple(switch_targets))
-        )
-        instrs += blocks[-1].ninstr
+        n = 2 + randbelow(4)
+        append(BlockSpec(n, BranchKind.ICALL, targets=tuple(switch_targets)))
+        instrs += n
         fill(max(4, fill_per_gap // 2))
     for name, optional in callees:
         if optional:
             # Guard block: taken skips over the call block.
-            guard = BlockSpec(
-                ninstr=rng.randint(2, 4),
-                kind=BranchKind.COND,
-                taken_prob=params.optional_call_prob,
-                taken_next=len(blocks) + 2,
-            )
-            blocks.append(guard)
-            instrs += guard.ninstr
-        blocks.append(
-            BlockSpec(ninstr=rng.randint(2, 5), kind=BranchKind.CALL,
-                      callee=name)
-        )
-        instrs += blocks[-1].ninstr
+            n = 2 + randbelow(3)
+            append(BlockSpec(n, COND, taken_prob=params.optional_call_prob,
+                             taken_next=len(blocks) + 2))
+            instrs += n
+        n = 2 + randbelow(4)
+        append(BlockSpec(n, BranchKind.CALL, callee=name))
+        instrs += n
         fill(fill_per_gap)
     if loop:
         # Fixed-trip-count loop: body block, then a backward branch.
-        body = BlockSpec(ninstr=rng.randint(4, 8), kind=BranchKind.COND,
-                         taken_prob=_EASY_TAKEN, taken_next=len(blocks) + 1)
-        blocks.append(body)
-        back = BlockSpec(ninstr=rng.randint(2, 5), kind=BranchKind.COND,
-                         taken_prob=0.0, taken_next=len(blocks) - 1,
-                         loop_count=rng.randint(3, 9))
-        blocks.append(back)
-        trips = back.loop_count
-        instrs += (body.ninstr + back.ninstr) * trips
-    while instrs < target_instrs:
-        instrs += compute_block()
+        body = 4 + randbelow(5)
+        append(BlockSpec(body, COND, taken_prob=_EASY_TAKEN,
+                         taken_next=len(blocks) + 1))
+        back = 2 + randbelow(4)
+        trips = 3 + randbelow(7)
+        append(BlockSpec(back, COND, taken_prob=0.0,
+                         taken_next=len(blocks) - 1, loop_count=trips))
+        instrs += (body + back) * trips
+    fill(target_instrs - instrs)
     # Fix dangling guard/cond targets that point past the RET we add now.
-    blocks.append(BlockSpec(ninstr=rng.randint(1, 3), kind=BranchKind.RET))
+    append(BlockSpec(1 + randbelow(3), BranchKind.RET))
     last = len(blocks) - 1
-    for i, blk in enumerate(blocks[:-1]):
-        if blk.kind == BranchKind.COND and blk.taken_next > last:
+    for blk in blocks:
+        if blk.taken_next > last and blk.kind == COND:
             blk.taken_next = last
     return blocks
 

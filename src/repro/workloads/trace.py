@@ -236,6 +236,7 @@ class TraceBuilder:
         app = self.app
         rng = random.Random(self.seed)
         binary = app.binary
+        functions = binary.functions
         tagged_set = app.program.tagged
         trace = Trace()
         pc_a = trace.pc
@@ -271,6 +272,7 @@ class TraceBuilder:
         # loop counters); loop counters are dicts created lazily.
         stack: List[Tuple[Function, List[int], int, Optional[dict]]] = []
         func = main
+        blocks = main.blocks
         addrs = addrs_of(main)
         idx = 0
         loops: Optional[dict] = None
@@ -288,13 +290,13 @@ class TraceBuilder:
         open_stage: Optional[Tuple[int, str]] = None
         n_instr = 0
         rand = rng.random
+        ib = INSTR_BYTES
 
         while True:
-            blk = func.blocks[idx]
+            blk = blocks[idx]
             pc = addrs[idx]
             nin = blk.ninstr
             kind = blk.kind
-            term = pc + (nin - 1) * INSTR_BYTES
             n_instr += nin
             if kind == _COND:
                 if blk.loop_count:
@@ -330,7 +332,7 @@ class TraceBuilder:
                 idx += 1
             elif kind == _CALL or kind == _ICALL:
                 if kind == _CALL:
-                    callee = binary.get(blk.callee)
+                    callee = functions[blk.callee]
                 else:
                     chosen = None
                     if blk.selector is not None:
@@ -349,10 +351,10 @@ class TraceBuilder:
                                 int(rand() * len(blk.targets))
                                 % len(blk.targets)
                             ]
-                    callee = binary.get(chosen)
+                    callee = functions[chosen]
                 callee_addrs = addrs_of(callee)
                 target = callee_addrs[0]
-                is_tagged = 1 if term in tagged_set else 0
+                is_tagged = 1 if pc + (nin - 1) * ib in tagged_set else 0
                 pc_a.append(pc)
                 nin_a.append(nin)
                 kind_a.append(kind)
@@ -363,13 +365,14 @@ class TraceBuilder:
                     open_stage = (len(pc_a), dispatcher_stage[callee.name])
                 stack.append((func, addrs, idx + 1, loops))
                 func = callee
+                blocks = callee.blocks
                 addrs = callee_addrs
                 idx = 0
                 loops = None
             elif kind == _RET:
                 rfunc, raddrs, ridx, rloops = stack.pop()
                 target = raddrs[ridx]
-                is_tagged = 1 if term in tagged_set else 0
+                is_tagged = 1 if pc + (nin - 1) * ib in tagged_set else 0
                 pc_a.append(pc)
                 nin_a.append(nin)
                 kind_a.append(_RET)
@@ -383,6 +386,7 @@ class TraceBuilder:
                     )
                     open_stage = None
                 func, addrs, idx, loops = rfunc, raddrs, ridx, rloops
+                blocks = func.blocks
             elif kind == _JUMP:
                 nxt = blk.taken_next
                 target = addrs[nxt]

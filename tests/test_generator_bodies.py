@@ -69,3 +69,14 @@ def test_loop_blocks_form_backward_cond(seed, size):
     index, blk = loops[0]
     assert blk.taken_next < index
     assert 3 <= blk.loop_count <= 9
+
+
+def test_randbelow_draws_the_randint_stream():
+    # _make_body draws ``lo + rng._randbelow(hi - lo + 1)`` where it
+    # means ``rng.randint(lo, hi)``: on this interpreter both must give
+    # the same numbers and leave the generator in the same state.
+    spans = [(4, 10), (2, 5), (2, 4), (4, 8), (3, 9), (1, 3)] * 50_000
+    fast, slow = random.Random(20251020), random.Random(20251020)
+    draws = [lo + fast._randbelow(hi - lo + 1) for lo, hi in spans]
+    assert draws == [slow.randint(lo, hi) for lo, hi in spans]
+    assert fast.getstate() == slow.getstate()
