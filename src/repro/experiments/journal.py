@@ -337,7 +337,7 @@ def run_sweep(
     shutdown: Optional[ShutdownRequest] = None,
     extra_meta: Optional[dict] = None,
     **policy,
-) -> Tuple[SweepReport, RunJournal]:
+) -> Tuple[SweepReport, Optional[RunJournal]]:
     """A journaled (and therefore resumable) :func:`sweep`.
 
     ``policy`` holds the sweep's own keyword arguments (``jobs``,
@@ -349,7 +349,8 @@ def run_sweep(
     completed points are pre-resolved from the disk cache, failed
     points are poisoned, and only the remainder is scheduled.  Returns
     the report together with the :class:`RunJournal` (whose ``run_id``
-    is the resume handle).
+    is the resume handle).  With ``use_cache=False`` no run can be
+    resumed, so none is journaled: the journal is None.
 
     Raises :class:`~repro.experiments.errors.SweepInterrupted` — with
     ``run_id`` filled in — when a signal or shutdown request drains
@@ -364,8 +365,10 @@ def run_sweep(
 
     preresolved: Dict[int, SweepResult] = {}
     poisoned: Dict[int, PointFailure] = {}
+    journal: Optional[RunJournal] = None
+    use_cache = policy.get("use_cache", True)
     if resume:
-        if not policy.get("use_cache", True):
+        if not use_cache:
             raise JournalError(
                 "cannot resume with the disk cache disabled: the "
                 "journal records which points completed, the cache "
@@ -386,14 +389,14 @@ def run_sweep(
             poisoned[index] = _failure_from_event(points, event)
         journal.replay_preresolved = len(preresolved)
         journal.replay_poisoned = len(poisoned)
-    else:
+    elif use_cache:
         journal = RunJournal.create(points, policy, root=run_root,
                                     extra_meta=extra_meta)
 
-    sinks = [journal.sink,
+    sinks = [*([journal.sink] if journal is not None else ()),
              *([events] if callable(events) else events or ())]
-
-    run_info = {"run_id": journal.run_id, "segment": journal.segment}
+    run_info = ({"run_id": journal.run_id, "segment": journal.segment}
+                if journal is not None else None)
     try:
         report = sweep(
             points, events=sinks,
@@ -401,5 +404,6 @@ def run_sweep(
             poisoned=poisoned, shutdown=shutdown,
             handle_signals=handle_signals, run_info=run_info, **policy)
     finally:
-        journal.close(plan=fault_plan)
+        if journal is not None:
+            journal.close(plan=fault_plan)
     return report, journal
