@@ -14,16 +14,18 @@ included) and ``measure_ips``, the measured window's instructions over
 its seconds, read from the timed repetition in ``ledger.json`` (the
 discarded warm-up is skipped).  The measured window is where the
 commit loop runs, and setup dilutes its slowdowns in ``instr_per_s``.
-Memory is compared too: the ledger's ``peak_rss_mb``, where lower is
-better.
+Two costs are compared as well, where lower is better: memory, the
+ledger's ``peak_rss_mb``, and the fixed cost of a point, ``setup_s``
+(process start to the first ``warmup()``: imports, the application
+and trace builds).  ``instr_per_s`` alone dilutes a slower setup.
 
 Exit status 1 when any invocation exits nonzero, reports
 ``correct: false`` or ``failed > 0``, or lacks a metric, or when on
 either workload the median of the per-pair ratios head/base of either
-rate is below ``1 - T``, or that of ``peak_rss_mb`` above ``1 + T``,
-with ``T = max(FLOOR, Q3 - Q1)`` of those ratios: only the spread this
-run measured can widen the floor.  A failed invocation ends the run
-after its pair.  Exit 2 on a usage error.
+rate is below ``1 - T``, or that of either cost above ``1 + T``, with
+``T = max(FLOOR, Q3 - Q1)`` of those ratios: only the spread this run
+measured can widen the floor.  A failed invocation ends the run after
+its pair.  Exit 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from typing import List, Optional, Sequence, Tuple
 PAIRS = 10
 FLOOR = 0.15
 WORKLOADS = ("point_db", "point_msvc")
-METRICS = ("instr_per_s", "measure_ips", "peak_rss_mb")
+METRICS = ("instr_per_s", "measure_ips", "peak_rss_mb", "setup_s")
 #: The gated metrics where lower is better; higher is better for the
 #: others.
-LOWER_IS_BETTER = ("peak_rss_mb",)
+LOWER_IS_BETTER = ("peak_rss_mb", "setup_s")
 #: With ``--seconds 0`` the ledger runs exactly ``--repeats`` timed
 #: repetitions and lists them in ``ledger.json`` before the warm-up.
 REPEATS = 1
@@ -145,11 +147,17 @@ def verdict(pairs: Sequence[Tuple[dict, dict]],
     return rows, problems
 
 
+def shown(value: float) -> str:
+    """A metric value for the report: whole numbers for rates and
+    megabytes, three decimals for values below 100 (seconds)."""
+    return f"{value:,.3f}" if value < 100 else f"{value:,.0f}"
+
+
 def format_rows(rows: List[tuple]) -> str:
     lines = [f"{'workload':11s} {'metric':11s} {'base':>9s} {'head':>9s} "
              f"{'ratio':>6s} {'q1':>6s} {'q3':>6s} {'T':>6s}  verdict"]
     for w, m, base, head, med, q1, q3, threshold, verdict_ in rows:
-        lines.append(f"{w:11s} {m:11s} {base:9,.0f} {head:9,.0f} "
+        lines.append(f"{w:11s} {m:11s} {shown(base):>9s} {shown(head):>9s} "
                      f"{med:6.3f} {q1:6.3f} {q3:6.3f} {threshold:6.3f}  "
                      f"{verdict_}")
     return "\n".join(lines)
@@ -191,11 +199,11 @@ def main(argv: Sequence[str]) -> int:
         for side in order:
             t0 = time.monotonic()
             got[side] = run_ledger(trees[side])
-            shown = "  ".join(
-                f"{w} " + "/".join(f"{metric(got[side], w, m) or 0:,.0f}"
+            values = "  ".join(
+                f"{w} " + "/".join(shown(metric(got[side], w, m) or 0)
                                    for m in METRICS) for w in WORKLOADS)
             print(f"pair {i + 1}/{PAIRS} {side} ({'/'.join(METRICS)}): "
-                  f"{shown} ({time.monotonic() - t0:.1f} s)", flush=True)
+                  f"{values} ({time.monotonic() - t0:.1f} s)", flush=True)
         pairs.append((got["base"], got["head"]))
         if any(problems_of(side, r) for side, r in got.items()):
             break  # simulated results repeat exactly: no more pairs

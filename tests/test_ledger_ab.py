@@ -13,21 +13,28 @@ ledger_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ledger_ab)
 
 
+UNITS = {"instr_per_s": "instr/s", "measure_ips": "instr/s",
+         "peak_rss_mb": "MB", "setup_s": "s"}
+
+
 def result(db=200_000.0, msvc=250_000.0, db_loop=600_000.0,
-           msvc_loop=500_000.0, db_rss=120.0, msvc_rss=115.0, exit=0,
-           correct=True, failed=0):
+           msvc_loop=500_000.0, db_rss=120.0, msvc_rss=115.0,
+           db_setup=0.85, msvc_setup=0.6, exit=0, correct=True, failed=0):
     """A parsed invocation: ``db``/``msvc`` are the end-to-end
     ``instr_per_s``, ``*_loop`` the measured window's ``measure_ips``,
-    ``*_rss`` the ``peak_rss_mb``; None leaves the metric out."""
+    ``*_rss`` the ``peak_rss_mb``, ``*_setup`` the ``setup_s``; None
+    leaves the metric out."""
     metrics = {}
     for key, value in (("point_db.instr_per_s", db),
                        ("point_msvc.instr_per_s", msvc),
                        ("point_db.measure_ips", db_loop),
                        ("point_msvc.measure_ips", msvc_loop),
                        ("point_db.peak_rss_mb", db_rss),
-                       ("point_msvc.peak_rss_mb", msvc_rss)):
+                       ("point_msvc.peak_rss_mb", msvc_rss),
+                       ("point_db.setup_s", db_setup),
+                       ("point_msvc.setup_s", msvc_setup)):
         if value is not None:
-            unit = "MB" if key.endswith("rss_mb") else "instr/s"
+            unit = UNITS[key.split(".")[1]]
             metrics[key] = {"value": value, "unit": unit}
     return {"exit": exit, "line": {"correct": correct, "attempted": 4,
                                    "failed": failed, "metrics": metrics}}
@@ -50,7 +57,7 @@ def verdicts(rows):
 def test_passes_at_ratio_one():
     rows, problems = ledger_ab.verdict(pairs([1.0] * ledger_ab.PAIRS))
     assert problems == []
-    assert len(rows) == 6
+    assert len(rows) == 8
     assert set(verdicts(rows).values()) == {"ok"}
     assert rows[0][4] == pytest.approx(1.0)
     assert rows[0][7] == pytest.approx(ledger_ab.FLOOR)
@@ -62,9 +69,11 @@ def test_fails_at_ratio_080():
         ("point_db", "instr_per_s"): "REGRESSED",
         ("point_db", "measure_ips"): "REGRESSED",
         ("point_db", "peak_rss_mb"): "ok",
+        ("point_db", "setup_s"): "ok",
         ("point_msvc", "instr_per_s"): "ok",
         ("point_msvc", "measure_ips"): "ok",
-        ("point_msvc", "peak_rss_mb"): "ok"}
+        ("point_msvc", "peak_rss_mb"): "ok",
+        ("point_msvc", "setup_s"): "ok"}
     assert problems == [
         "point_db.instr_per_s: median ratio 0.800 < 0.850",
         "point_db.measure_ips: median ratio 0.800 < 0.850"]
@@ -156,6 +165,35 @@ def test_memory_gate_fails_on_a_missing_metric():
     assert problems == ["pair 3 head: no point_msvc.peak_rss_mb"]
 
 
+def setup_pairs(db_ratios, msvc_ratio=1.0):
+    """Pairs at equal rates and memory whose head spends ``db_ratios``
+    of the base's point_db setup and ``msvc_ratio`` of its point_msvc
+    setup."""
+    return [(result(), result(db_setup=0.85 * r, msvc_setup=0.6 * msvc_ratio))
+            for r in db_ratios]
+
+
+def test_setup_gate_fails_on_a_slower_setup():
+    # 30% more setup moves point_db's end-to-end rate by only a few
+    # percent: the setup gate catches it on its own.
+    rows, problems = ledger_ab.verdict(setup_pairs([1.30] * ledger_ab.PAIRS))
+    assert problems == ["point_db.setup_s: median ratio 1.300 > 1.150"]
+    assert verdicts(rows)[("point_db", "setup_s")] == "REGRESSED"
+    assert verdicts(rows)[("point_msvc", "setup_s")] == "ok"
+    assert verdicts(rows)[("point_db", "instr_per_s")] == "ok"
+
+
+def test_setup_gate_passes_a_faster_or_noisy_setup():
+    ratios = [0.62, 0.65, 0.66, 0.7, 1.08, 0.64, 0.69, 0.61, 1.1, 0.67]
+    rows, problems = ledger_ab.verdict(setup_pairs(ratios, msvc_ratio=1.1))
+    assert problems == []
+    row = next(r for r in rows if r[:2] == ("point_db", "setup_s"))
+    assert row[2] == pytest.approx(0.85)
+    assert row[4] == pytest.approx(0.665)
+    assert row[8] == "ok"
+    assert "point_db    setup_s         0.850" in ledger_ab.format_rows(rows)
+
+
 def test_fails_without_a_result_line():
     cases = pairs([1.0] * ledger_ab.PAIRS)
     cases[0] = (cases[0][0], {"exit": 0, "line": None})
@@ -205,6 +243,8 @@ pathlib.Path(args.out, "ledger.json").write_text(json.dumps(doc))
 metrics = {w + ".instr_per_s": {"value": 1e5, "unit": "instr/s"}
            for w in args.workload}
 metrics.update({w + ".peak_rss_mb": {"value": 90.0, "unit": "MB"}
+                for w in args.workload})
+metrics.update({w + ".setup_s": {"value": 0.7, "unit": "s"}
                 for w in args.workload})
 print("== human-readable report")
 print(json.dumps({"correct": True, "failed": 0, "metrics": metrics}))
