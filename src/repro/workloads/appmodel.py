@@ -170,5 +170,10 @@ def zipf_weights(n: int, alpha: float) -> List[float]:
     if n < 1:
         raise ValueError("n must be >= 1")
     raw = [1.0 / (k ** alpha) for k in range(1, n + 1)]
-    total = sum(raw)
+    # Added left to right, as sum() did before Python 3.12 compensated
+    # float sums: the weights (and so the pinned binary digests) are
+    # the same on every supported Python.
+    total = 0.0
+    for w in raw:
+        total += w
     return [w / total for w in raw]
